@@ -62,6 +62,11 @@ echo "== hardware-prefetcher property suite (release) =="
 # path the property tests rely on.
 cargo test -q --release -p charlie --test hw_prefetch_props
 
+echo "== shared-journal tail equivalence (release, 300 cases) =="
+# DESIGN.md §19: an incremental tail must fold exactly what a full scan
+# folds at every byte prefix; release builds run 300 random journals.
+cargo test -q --release -p charlie --test tail_props
+
 echo "== benches compile =="
 cargo bench --no-run -q
 
@@ -389,6 +394,21 @@ if [[ "${reclaimed:-0}" -lt 1 ]]; then
     exit 1
 fi
 echo "3-worker fleet survived a SIGKILL byte-identical ($reclaimed cells reclaimed)"
+# Coordination cost (DESIGN.md §19): each worker tails the shared journal,
+# so none may have read more than twice the final journal per claim thread
+# (these workers run one each). Three full scans per claim read ~100x.
+journal_bytes=$(cat "$fleet_state"/*.ckpt | wc -c)
+scan_bytes=$(grep -o '"scan_bytes":[0-9]*' <<<"$fleet_stats" | cut -d: -f2)
+if [[ -z "$scan_bytes" ]]; then
+    echo "FAIL: serve --stats reports no scan_bytes: $fleet_stats" >&2
+    exit 1
+fi
+if awk -v max=$((2 * journal_bytes)) '$1 > max { bad = 1 } END { exit !bad }' <<<"$scan_bytes"; then
+    echo "FAIL: a worker scanned more than 2 x the ${journal_bytes}-byte journal:" >&2
+    echo "$fleet_stats" >&2
+    exit 1
+fi
+echo "fleet scan_bytes within 2 x the ${journal_bytes}-byte journal:" $scan_bytes
 
 # Torn lease-record write mid-campaign: the next appender seals the torn
 # tail, CRC framing rejects the fragment, the failed worker dies and its

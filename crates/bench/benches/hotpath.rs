@@ -11,8 +11,8 @@ use charlie::trace::{Addr, TraceBuilder};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-/// Probe + LRU-touch over a warm 4-way cache: exercises `CacheSet::find`
-/// and the replacement-order update that `touch` performs on every hit.
+/// Probe + LRU-touch over a warm 4-way cache: exercises the one-pass set
+/// search and the replacement-order update that `touch` performs on every hit.
 fn bench_probe_touch(c: &mut Criterion) {
     let geom = CacheGeometry::new(32 * 1024, 32, 4).expect("4-way geometry");
     let mut cache = CacheArray::new(geom);

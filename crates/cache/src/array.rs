@@ -64,77 +64,6 @@ enum SetFind {
     Miss,
 }
 
-#[derive(Clone, Debug)]
-struct CacheSet {
-    ways: Vec<CacheLine>,
-    /// Per-way last-use timestamps (larger = more recent). Replaces an
-    /// explicit MRU-first index list: a touch is one store instead of a
-    /// remove+insert shuffle, and victim selection folds into the same
-    /// pass that searches the tags. Stamps are unique (monotonic clock,
-    /// distinct initial values), so replacement order is exactly the old
-    /// list order.
-    stamp: Vec<u64>,
-    /// Next timestamp to hand out.
-    clock: u64,
-}
-
-impl CacheSet {
-    fn new(associativity: u32) -> Self {
-        let a = u64::from(associativity);
-        CacheSet {
-            ways: vec![CacheLine::new(); associativity as usize],
-            // Way 0 starts most recent, way a-1 least recent — the initial
-            // order of the old MRU list, which tests pin.
-            stamp: (0..associativity).map(|i| a - 1 - u64::from(i)).collect(),
-            clock: a,
-        }
-    }
-
-    #[inline]
-    fn touch(&mut self, way: u32) {
-        self.stamp[way as usize] = self.clock;
-        self.clock += 1;
-    }
-
-    /// One pass over the set: at most one frame can hold a given tag, so
-    /// the first match wins and its validity classifies the result.
-    #[inline]
-    fn find(&self, tag: u64) -> SetFind {
-        for (w, l) in self.ways.iter().enumerate() {
-            if l.matches(tag) {
-                return if l.state().is_valid() {
-                    SetFind::Hit(w as u32)
-                } else {
-                    SetFind::InvalidMatch(w as u32)
-                };
-            }
-        }
-        SetFind::Miss
-    }
-
-    /// Victim selection in a single pass: reuse the matching-tag frame if
-    /// any (refill after invalidation), else the least-recently-used
-    /// invalid frame, else the least-recently-used frame overall.
-    fn victim(&self, tag: u64) -> u32 {
-        let mut oldest = 0usize;
-        let mut oldest_invalid: Option<usize> = None;
-        for (w, l) in self.ways.iter().enumerate() {
-            if l.matches(tag) {
-                return w as u32;
-            }
-            if self.stamp[w] < self.stamp[oldest] {
-                oldest = w;
-            }
-            if !l.state().is_valid()
-                && oldest_invalid.map_or(true, |o| self.stamp[w] < self.stamp[o])
-            {
-                oldest_invalid = Some(w);
-            }
-        }
-        oldest_invalid.unwrap_or(oldest) as u32
-    }
-}
-
 /// A single processor's cache: tags, Illinois states, LRU, and the per-line
 /// bookkeeping the paper's miss taxonomy requires.
 ///
@@ -142,7 +71,19 @@ impl CacheSet {
 #[derive(Clone, Debug)]
 pub struct CacheArray {
     geom: CacheGeometry,
-    sets: Vec<CacheSet>,
+    /// Ways per set (the stride of `ways` and `stamp`).
+    assoc: usize,
+    /// Every frame, set-major: set `s` owns `ways[s * assoc..(s + 1) * assoc]`.
+    /// One flat allocation instead of two small vectors per set keeps a
+    /// cache's construction to a handful of allocations.
+    ways: Vec<CacheLine>,
+    /// Per-frame last-use timestamps (larger = more recent). A touch is one
+    /// store, and victim selection folds into the pass that searches the
+    /// tags. Stamps within a set are unique (one monotonic clock, distinct
+    /// initial values), so replacement order is exactly LRU order.
+    stamp: Vec<u64>,
+    /// Next timestamp to hand out.
+    clock: u64,
     victim: VictimBuffer,
 }
 
@@ -155,8 +96,73 @@ impl CacheArray {
     /// Creates an empty cache backed by a fully-associative victim buffer of
     /// `victim_entries` lines (a small fully-associative Jouppi buffer; 0 disables it).
     pub fn with_victim(geom: CacheGeometry, victim_entries: usize) -> Self {
-        let sets = (0..geom.num_sets()).map(|_| CacheSet::new(geom.associativity())).collect();
-        CacheArray { geom, sets, victim: VictimBuffer::new(victim_entries) }
+        let a = u64::from(geom.associativity());
+        let sets = geom.num_sets() as usize;
+        CacheArray {
+            geom,
+            assoc: a as usize,
+            ways: vec![CacheLine::new(); sets * a as usize],
+            // Way 0 starts most recent, way a-1 least recent — the initial
+            // order of the old MRU list, which tests pin.
+            stamp: (0..sets).flat_map(|_| (0..a).rev()).collect(),
+            clock: a,
+            victim: VictimBuffer::new(victim_entries),
+        }
+    }
+
+    /// The frames of set `set_idx` (index range into `ways`/`stamp`).
+    #[inline]
+    fn set_range(&self, set_idx: usize) -> std::ops::Range<usize> {
+        set_idx * self.assoc..(set_idx + 1) * self.assoc
+    }
+
+    /// One pass over a set's frames: at most one frame can hold a given
+    /// tag, so the first match wins and its validity classifies the result.
+    #[inline]
+    fn find_in(&self, set_idx: usize, tag: u64) -> SetFind {
+        for (w, l) in self.ways[self.set_range(set_idx)].iter().enumerate() {
+            if l.matches(tag) {
+                return if l.state().is_valid() {
+                    SetFind::Hit(w as u32)
+                } else {
+                    SetFind::InvalidMatch(w as u32)
+                };
+            }
+        }
+        SetFind::Miss
+    }
+
+    /// Victim selection in a single pass over a set: reuse the matching-tag
+    /// frame if any (refill after invalidation), else the least-recently-used
+    /// invalid frame, else the least-recently-used frame overall.
+    fn victim_in(&self, set_idx: usize, tag: u64) -> u32 {
+        let r = self.set_range(set_idx);
+        let stamp = &self.stamp[r.clone()];
+        let mut oldest = 0usize;
+        let mut oldest_invalid: Option<usize> = None;
+        for (w, l) in self.ways[r].iter().enumerate() {
+            if l.matches(tag) {
+                return w as u32;
+            }
+            if stamp[w] < stamp[oldest] {
+                oldest = w;
+            }
+            if !l.state().is_valid() && oldest_invalid.is_none_or(|o| stamp[w] < stamp[o]) {
+                oldest_invalid = Some(w);
+            }
+        }
+        oldest_invalid.unwrap_or(oldest) as u32
+    }
+
+    #[inline]
+    fn touch(&mut self, set_idx: usize, way: u32) {
+        self.stamp[set_idx * self.assoc + way as usize] = self.clock;
+        self.clock += 1;
+    }
+
+    #[inline]
+    fn at(&self, set_idx: usize, way: u32) -> usize {
+        set_idx * self.assoc + way as usize
     }
 
     /// Capacity of the victim buffer (0 = disabled).
@@ -189,9 +195,9 @@ impl CacheArray {
         let line = entry.line;
         let tag = self.geom.tag(line);
         let set_idx = self.set_of(line);
-        let way = self.sets[set_idx].victim(tag);
+        let way = self.victim_in(set_idx, tag);
         let displaced = {
-            let frame = &self.sets[set_idx].ways[way as usize];
+            let frame = &self.ways[self.at(set_idx, way)];
             if frame.state().is_valid() && !frame.matches(tag) {
                 Some(VictimEntry {
                     line: self.geom.line_from_parts(frame.tag(), set_idx as u64),
@@ -201,8 +207,9 @@ impl CacheArray {
                 None
             }
         };
-        self.sets[set_idx].ways[way as usize] = entry.frame;
-        self.sets[set_idx].touch(way);
+        let i = self.at(set_idx, way);
+        self.ways[i] = entry.frame;
+        self.touch(set_idx, way);
         let castout = displaced.and_then(|d| self.spill(d));
         castout.map(|c| EvictedLine {
             line: c.line,
@@ -233,10 +240,10 @@ impl CacheArray {
     /// Probes for `line` without modifying any state (not even LRU).
     pub fn probe_line(&self, line: LineAddr) -> Probe {
         let tag = self.geom.tag(line);
-        let set = &self.sets[self.set_of(line)];
-        match set.find(tag) {
+        let set_idx = self.set_of(line);
+        match self.find_in(set_idx, tag) {
             SetFind::Miss => Probe::Miss,
-            SetFind::Hit(way) => Probe::Hit { way, state: set.ways[way as usize].state() },
+            SetFind::Hit(way) => Probe::Hit { way, state: self.ways[self.at(set_idx, way)].state() },
             SetFind::InvalidMatch(way) => Probe::InvalidatedMatch { way },
         }
     }
@@ -252,7 +259,7 @@ impl CacheArray {
     ///
     /// Panics if `way` is out of range for the set of `line`.
     pub fn frame(&self, line: LineAddr, way: u32) -> &CacheLine {
-        &self.sets[self.set_of(line)].ways[way as usize]
+        &self.ways[self.at(self.set_of(line), way)]
     }
 
     /// Mutable view of a frame found by a probe; also freshens LRU.
@@ -262,8 +269,9 @@ impl CacheArray {
     /// Panics if `way` is out of range for the set of `line`.
     pub fn frame_mut(&mut self, line: LineAddr, way: u32) -> &mut CacheLine {
         let set_idx = self.set_of(line);
-        self.sets[set_idx].touch(way);
-        &mut self.sets[set_idx].ways[way as usize]
+        self.touch(set_idx, way);
+        let i = self.at(set_idx, way);
+        &mut self.ways[i]
     }
 
     /// Installs `line` in state `state`, evicting if necessary.
@@ -276,9 +284,9 @@ impl CacheArray {
         let _ = self.victim.take(line);
         let tag = self.geom.tag(line);
         let set_idx = self.set_of(line);
-        let way = self.sets[set_idx].victim(tag);
+        let way = self.victim_in(set_idx, tag);
         let displaced = {
-            let frame = &self.sets[set_idx].ways[way as usize];
+            let frame = &self.ways[self.at(set_idx, way)];
             if frame.state().is_valid() && !frame.matches(tag) {
                 Some(VictimEntry {
                     line: self.geom.line_from_parts(frame.tag(), set_idx as u64),
@@ -288,9 +296,9 @@ impl CacheArray {
                 None
             }
         };
-        let set = &mut self.sets[set_idx];
-        set.ways[way as usize].fill(tag, state, by_prefetch);
-        set.touch(way);
+        let i = self.at(set_idx, way);
+        self.ways[i].fill(tag, state, by_prefetch);
+        self.touch(set_idx, way);
         let castout = displaced.and_then(|d| self.spill(d));
         castout.map(|c| EvictedLine {
             line: c.line,
@@ -305,9 +313,10 @@ impl CacheArray {
     pub fn snoop_invalidate(&mut self, line: LineAddr, word: u32) -> Option<(LineState, bool)> {
         let tag = self.geom.tag(line);
         let set_idx = self.set_of(line);
-        match self.sets[set_idx].find(tag) {
+        match self.find_in(set_idx, tag) {
             SetFind::Hit(way) => {
-                let frame = &mut self.sets[set_idx].ways[way as usize];
+                let i = self.at(set_idx, way);
+                let frame = &mut self.ways[i];
                 let prev = frame.state();
                 let unused = frame.filled_by_prefetch() && !frame.used_since_fill();
                 frame.invalidate_by_remote_write(word);
@@ -339,8 +348,9 @@ impl CacheArray {
     pub fn snoop_update(&mut self, line: LineAddr, proto: Protocol) -> Option<LineState> {
         let tag = self.geom.tag(line);
         let set_idx = self.set_of(line);
-        if let SetFind::Hit(way) = self.sets[set_idx].find(tag) {
-            let frame = &mut self.sets[set_idx].ways[way as usize];
+        if let SetFind::Hit(way) = self.find_in(set_idx, tag) {
+            let i = self.at(set_idx, way);
+            let frame = &mut self.ways[i];
             let prev = frame.state();
             frame.downgrade(protocol::update_snoop_state(proto, prev));
             return Some(prev);
@@ -357,9 +367,9 @@ impl CacheArray {
     pub fn invalidate_remote(&mut self, line: LineAddr, word: u32) -> Option<LineState> {
         let tag = self.geom.tag(line);
         let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        let SetFind::Hit(way) = set.find(tag) else { return None };
-        let frame = &mut set.ways[way as usize];
+        let SetFind::Hit(way) = self.find_in(set_idx, tag) else { return None };
+        let i = self.at(set_idx, way);
+        let frame = &mut self.ways[i];
         let prev = frame.state();
         frame.invalidate_by_remote_write(word);
         Some(prev)
@@ -372,9 +382,9 @@ impl CacheArray {
     pub fn downgrade_remote(&mut self, line: LineAddr, proto: Protocol) -> Option<LineState> {
         let tag = self.geom.tag(line);
         let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        let SetFind::Hit(way) = set.find(tag) else { return None };
-        let frame = &mut set.ways[way as usize];
+        let SetFind::Hit(way) = self.find_in(set_idx, tag) else { return None };
+        let i = self.at(set_idx, way);
+        let frame = &mut self.ways[i];
         let prev = frame.state();
         frame.downgrade(protocol::read_snoop_state(proto, prev));
         Some(prev)
@@ -392,21 +402,19 @@ impl CacheArray {
     /// Iterates over all valid resident lines (main array, then victim
     /// buffer) as `(LineAddr, LineState)`.
     pub fn iter_valid(&self) -> impl Iterator<Item = (LineAddr, LineState)> + '_ {
-        self.sets
+        self.ways
             .iter()
             .enumerate()
-            .flat_map(move |(set_idx, set)| {
-                set.ways.iter().filter(|l| l.state().is_valid()).map(move |l| {
-                    (self.geom.line_from_parts(l.tag(), set_idx as u64), l.state())
-                })
+            .filter(|(_, l)| l.state().is_valid())
+            .map(move |(i, l)| {
+                (self.geom.line_from_parts(l.tag(), (i / self.assoc) as u64), l.state())
             })
             .chain(self.victim.iter())
     }
 
     /// Number of valid resident lines (including the victim buffer).
     pub fn num_valid(&self) -> usize {
-        self.sets.iter().map(|s| s.ways.iter().filter(|l| l.state().is_valid()).count()).sum::<usize>()
-            + self.victim.len()
+        self.ways.iter().filter(|l| l.state().is_valid()).count() + self.victim.len()
     }
 }
 

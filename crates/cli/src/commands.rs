@@ -58,7 +58,7 @@ fn workload_config(args: &Args) -> Result<(WorkloadConfig, Workload), ArgsError>
 }
 
 /// Machine knobs shared by `run` and `run-trace`.
-struct MachineOpts {
+pub(crate) struct MachineOpts {
     transfer: u64,
     warmup: u64,
     victim: usize,
@@ -68,7 +68,7 @@ struct MachineOpts {
 }
 
 impl MachineOpts {
-    fn from_args(args: &Args) -> Result<MachineOpts, ArgsError> {
+    pub(crate) fn from_args(args: &Args) -> Result<MachineOpts, ArgsError> {
         let spec = args.get("protocol").unwrap_or("invalidate");
         let protocol = Protocol::parse(&spec.to_ascii_lowercase()).ok_or_else(|| {
             ArgsError(format!("unknown protocol {spec:?} ({})", Protocol::CHOICES))
@@ -91,7 +91,7 @@ impl MachineOpts {
 
 /// Applies the strategy and builds the machine config shared by `run`,
 /// `run-trace` and `profile`.
-fn prepare_cell(
+pub(crate) fn prepare_cell(
     raw: &Trace,
     strategy: Strategy,
     opts: &MachineOpts,
@@ -107,6 +107,9 @@ fn prepare_cell(
         protocol: opts.protocol,
         hw_prefetch: opts.hw_prefetch,
         check_invariants: opts.check,
+        // The Lab's watchdog: a livelocked cell fails with a diagnostic
+        // instead of spinning forever.
+        max_events: charlie::event_budget(raw.total_accesses() as u64),
         ..SimConfig::paper(raw.num_procs(), transfer)
     };
     Ok((prepared, sim_cfg))

@@ -326,6 +326,24 @@ mod tests {
         assert!(text.contains("\"cpu_miss_rate\""));
     }
 
+    /// `run` arms the Lab's event-budget watchdog: a cell that cannot
+    /// finish fails with the diagnostic instead of spinning.
+    #[test]
+    fn run_applies_the_event_budget() {
+        let raw = charlie::workloads::generate(
+            charlie::Workload::Water,
+            &charlie::workloads::WorkloadConfig {
+                procs: 2,
+                refs_per_proc: 1500,
+                seed: 1,
+                layout: charlie::workloads::Layout::Interleaved,
+            },
+        );
+        let opts = commands::MachineOpts::from_args(&Args::parse(Vec::new()).unwrap()).unwrap();
+        let (_, sim_cfg) = commands::prepare_cell(&raw, charlie::Strategy::Pref, &opts).unwrap();
+        assert_eq!(sim_cfg.max_events, charlie::event_budget(raw.total_accesses() as u64));
+    }
+
     #[test]
     fn run_rejects_bad_workload() {
         let (code, text) = run(&["run", "--workload", "spice"]);

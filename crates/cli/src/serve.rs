@@ -337,10 +337,14 @@ fn submit_fleet<W: Write>(
         children.push(child);
     }
 
-    let (mut published, total) = worker::campaign_progress(&m).map_err(fail)?;
+    // Poll progress through one tail: each poll reads only new bytes.
+    let mut tail = m.tail();
+    let mut progress = || tail.refresh().map(|t| t.published()).map_err(fail);
+    let total = m.cells.len();
+    let mut published = progress()?;
     while published < total {
         std::thread::sleep(std::time::Duration::from_millis(100));
-        (published, _) = worker::campaign_progress(&m).map_err(fail)?;
+        published = progress()?;
         let mut alive = 0;
         for child in children.iter_mut() {
             if matches!(child.try_wait(), Ok(None)) {
@@ -349,7 +353,7 @@ fn submit_fleet<W: Write>(
         }
         if workers > 0 && alive == 0 {
             // Workers may have published the final cell on their way out.
-            (published, _) = worker::campaign_progress(&m).map_err(fail)?;
+            published = progress()?;
             if published == total {
                 break;
             }

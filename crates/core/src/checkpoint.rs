@@ -883,10 +883,11 @@ fn env_sync() -> bool {
 //
 // A multi-worker campaign coordinates *only* through its journal file: every
 // worker appends CRC-framed lease records (claim / renew / reclaim) and
-// summaries with O_APPEND + fsync, and reads the whole file back to compute
-// the current lease table. There are no locks and no compaction while the
-// fleet is live — an atomic-rename compaction under a racing O_APPEND writer
-// would strand that writer's lines in the unlinked inode. Instead:
+// summaries with O_APPEND + fsync, and follows the file with a `SharedTail`
+// to keep the current lease table. There are no locks and no compaction
+// while the fleet is live — an atomic-rename compaction under a racing
+// O_APPEND writer would strand that writer's lines in the unlinked inode.
+// Instead:
 //
 // * appends are single `write(2)` calls of whole framed lines, so records
 //   from different processes interleave at line granularity;
@@ -1012,6 +1013,9 @@ pub struct SharedScan {
 /// mismatch against `expected_config`, an unreadable header, or a CRC-valid
 /// line that fails to decode is a hard error: those mean the journal cannot
 /// be trusted to belong to this campaign at all.
+///
+/// This is the one-shot reader (collection, compaction, stats); a worker
+/// polling a live campaign follows it with a [`SharedTail`] instead.
 pub fn scan_shared(path: &Path, expected_config: Option<&str>) -> io::Result<SharedScan> {
     let mut content = String::new();
     match File::open(path) {
@@ -1032,7 +1036,28 @@ pub fn scan_shared(path: &Path, expected_config: Option<&str>) -> io::Result<Sha
     let Some((&first, records)) = lines.split_first() else {
         return Ok(scan);
     };
-    let json = unframe_line(first)
+    check_shared_header(path, first, expected_config)?;
+    let mut seen = std::collections::HashSet::new();
+    for (i, &line) in records.iter().enumerate() {
+        match decode_shared_record(path, i + 2, line)? {
+            Some(SharedRecord::Lease(lease)) => scan.leases.push(lease),
+            Some(SharedRecord::Summary(summary)) => {
+                if seen.insert(summary.experiment) {
+                    scan.summaries.push(*summary);
+                } else {
+                    scan.duplicate_summaries += 1;
+                }
+            }
+            None => scan.corrupt_lines += 1,
+        }
+    }
+    Ok(scan)
+}
+
+/// Checks a shared journal's header line: the version this build reads,
+/// and (when given) the campaign's config key.
+fn check_shared_header(path: &Path, line: &str, expected_config: Option<&str>) -> io::Result<()> {
+    let json = unframe_line(line)
         .map_err(|e| invalid_data(path, 1, format!("shared journal header unreadable: {e}")))?;
     let (version, config) = decode_journal_header(json).map_err(|e| invalid_data(path, 1, e))?;
     if version != VERSION {
@@ -1054,25 +1079,308 @@ pub fn scan_shared(path: &Path, expected_config: Option<&str>) -> io::Result<Sha
             ));
         }
     }
-    let mut seen = std::collections::HashSet::new();
-    for (i, &line) in records.iter().enumerate() {
-        match unframe_line(line) {
-            Ok(json) if is_lease_json(json) => {
-                let lease = decode_lease(json).map_err(|e| invalid_data(path, i + 2, e))?;
-                scan.leases.push(lease);
+    Ok(())
+}
+
+/// One intact record line of a shared journal.
+enum SharedRecord {
+    Lease(LeaseRecord),
+    Summary(Box<RunSummary>),
+}
+
+/// Decodes one non-blank record line (`line_no` counts non-blank lines,
+/// the header being 1). A failed CRC frame is damage — `Ok(None)`, the
+/// cell re-runs — but a CRC-valid line that fails to decode is a hard
+/// error.
+fn decode_shared_record(path: &Path, line_no: usize, line: &str) -> io::Result<Option<SharedRecord>> {
+    let Ok(json) = unframe_line(line) else { return Ok(None) };
+    let record = if is_lease_json(json) {
+        decode_lease(json).map(SharedRecord::Lease)
+    } else {
+        decode_summary(json).map(|s| SharedRecord::Summary(Box::new(s)))
+    };
+    record.map(Some).map_err(|e| invalid_data(path, line_no, e))
+}
+
+/// The lease records and summaries of a shared journal folded into
+/// per-cell claim state, indexed by manifest cell.
+///
+/// Generations are first-wins: the first gen-opening record (claim or
+/// reclaim) of a generation in file order is its winner, a losing racer's
+/// claim never displaces it, and only the holder's renewals extend the
+/// deadline. Records naming a cell outside the grid are ignored.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LeaseTable {
+    cells: Vec<CellState>,
+    /// Interned worker ids; cells name holders by index.
+    holders: Vec<String>,
+    published: usize,
+}
+
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct CellState {
+    /// Newest generation opened (0: never claimed).
+    gen: u64,
+    /// First opener of `gen`, as an index into `holders`.
+    holder: u32,
+    /// Latest deadline of `gen` (its opening, or a holder's renewal).
+    deadline_ms: u64,
+    /// `(generation, first opener)` of every generation, in file order.
+    openers: Vec<(u64, u32)>,
+    published: bool,
+}
+
+/// A cell's newest lease as [`LeaseTable::lease`] reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellLease<'a> {
+    /// Newest generation opened.
+    pub gen: u64,
+    /// The generation's winner.
+    pub holder: &'a str,
+    /// Latest deadline the holder renewed within the generation.
+    pub deadline_ms: u64,
+}
+
+impl LeaseTable {
+    /// An empty table over a grid of `cells` cells.
+    pub fn new(cells: usize) -> LeaseTable {
+        LeaseTable { cells: vec![CellState::default(); cells], ..LeaseTable::default() }
+    }
+
+    /// Folds a one-shot [`scan_shared`] of the journal of `cells`.
+    pub fn from_scan(scan: &SharedScan, cells: &[crate::lab::Experiment]) -> LeaseTable {
+        let mut table = LeaseTable::new(cells.len());
+        for lease in &scan.leases {
+            table.apply(lease);
+        }
+        let index = cell_index(cells);
+        for summary in &scan.summaries {
+            if let Some(&cell) = index.get(&summary.experiment) {
+                table.publish(cell);
             }
-            Ok(json) => {
-                let summary = decode_summary(json).map_err(|e| invalid_data(path, i + 2, e))?;
-                if seen.insert(summary.experiment) {
-                    scan.summaries.push(summary);
-                } else {
-                    scan.duplicate_summaries += 1;
-                }
+        }
+        table
+    }
+
+    fn apply(&mut self, l: &LeaseRecord) {
+        let Some(cell) = usize::try_from(l.cell).ok().filter(|&c| c < self.cells.len()) else {
+            return;
+        };
+        let worker = match self.holders.iter().position(|h| *h == l.worker) {
+            Some(i) => i as u32,
+            None => {
+                self.holders.push(l.worker.clone());
+                (self.holders.len() - 1) as u32
             }
-            Err(_) => scan.corrupt_lines += 1,
+        };
+        let e = &mut self.cells[cell];
+        if l.event.opens_generation() {
+            if !e.openers.iter().any(|&(g, _)| g == l.gen) {
+                e.openers.push((l.gen, worker));
+            }
+            if l.gen > e.gen {
+                e.gen = l.gen;
+                e.holder = worker;
+                e.deadline_ms = l.deadline_ms;
+            }
+        } else if e.gen > 0 && l.gen == e.gen && worker == e.holder {
+            e.deadline_ms = e.deadline_ms.max(l.deadline_ms);
         }
     }
-    Ok(scan)
+
+    fn publish(&mut self, cell: usize) {
+        let e = &mut self.cells[cell];
+        if !e.published {
+            e.published = true;
+            self.published += 1;
+        }
+    }
+
+    /// Cells in the grid.
+    pub fn cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Cells with at least one published summary.
+    pub fn published(&self) -> usize {
+        self.published
+    }
+
+    /// Whether `cell` has a published summary.
+    pub fn is_published(&self, cell: u64) -> bool {
+        self.cells.get(cell as usize).is_some_and(|e| e.published)
+    }
+
+    /// The cell's newest lease; `None` if no generation was ever opened.
+    pub fn lease(&self, cell: u64) -> Option<CellLease<'_>> {
+        let e = self.cells.get(cell as usize).filter(|e| e.gen > 0)?;
+        Some(CellLease {
+            gen: e.gen,
+            holder: &self.holders[e.holder as usize],
+            deadline_ms: e.deadline_ms,
+        })
+    }
+
+    /// The winner of generation `gen` of `cell`: its first opener in file
+    /// order.
+    pub fn winner(&self, cell: u64, gen: u64) -> Option<&str> {
+        let e = self.cells.get(cell as usize)?;
+        let &(_, h) = e.openers.iter().find(|&&(g, _)| g == gen)?;
+        Some(&self.holders[h as usize])
+    }
+
+    /// The first unpublished cell that is unleased or whose deadline has
+    /// passed at `now_ms`.
+    pub fn claimable(&self, now_ms: u64) -> Option<u64> {
+        let cell = self.cells.iter().position(|e| !e.published && (e.gen == 0 || now_ms > e.deadline_ms))?;
+        Some(cell as u64)
+    }
+
+    /// The newest lease of every unpublished, ever-claimed cell, by cell.
+    pub fn unpublished_leases(&self) -> impl Iterator<Item = (u64, CellLease<'_>)> + '_ {
+        (0..self.cells.len() as u64)
+            .filter(|&c| !self.cells[c as usize].published)
+            .filter_map(|c| Some((c, self.lease(c)?)))
+    }
+}
+
+fn cell_index(cells: &[crate::lab::Experiment]) -> std::collections::HashMap<crate::lab::Experiment, usize> {
+    cells.iter().enumerate().map(|(i, e)| (*e, i)).collect()
+}
+
+/// An incremental reader of one live shared journal: each
+/// [`SharedTail::refresh`] reads only the bytes appended since the last
+/// one and folds them into a [`LeaseTable`]. Workers poll their campaign
+/// through a tail, so a claim costs the bytes written since the previous
+/// claim, not the whole journal.
+///
+/// * An unterminated final line is held back until its newline arrives,
+///   so a torn or in-flight append is never decoded half-written (a
+///   sealing newline turns a torn fragment into one corrupt line, which
+///   is skipped like [`scan_shared`] skips it).
+/// * Every complete line is decoded exactly once, with [`scan_shared`]'s
+///   hard errors: an unreadable or foreign header, or a CRC-valid line
+///   that does not decode. Summaries only mark their cell published; the
+///   decoded summary is dropped.
+/// * If the file shrinks or is replaced (a compaction's rename, a new
+///   inode), the tail rescans from byte zero; a missing file is an empty
+///   journal. After an error the next refresh rescans too. The tail keeps
+///   the file it reads open, so a replaced file's inode number cannot be
+///   reused by a later replacement while the tail still counts into it.
+#[derive(Debug)]
+pub struct SharedTail {
+    path: PathBuf,
+    config: String,
+    index: std::collections::HashMap<crate::lab::Experiment, usize>,
+    table: LeaseTable,
+    /// The file being read, positioned at `offset`, and its
+    /// `(device, inode)`.
+    file: Option<(File, (u64, u64))>,
+    /// Bytes of the file read so far.
+    offset: u64,
+    /// Bytes read past the last newline.
+    partial: Vec<u8>,
+    /// Non-blank lines folded so far (the header is line 1).
+    lines: usize,
+    scan_bytes: u64,
+}
+
+impl SharedTail {
+    /// A tail of the journal at `path` of the campaign with config key
+    /// `config` over the grid `cells`. Reads nothing until the first
+    /// refresh.
+    pub fn new(path: &Path, config: &str, cells: &[crate::lab::Experiment]) -> SharedTail {
+        SharedTail {
+            path: path.to_path_buf(),
+            config: config.to_owned(),
+            index: cell_index(cells),
+            table: LeaseTable::new(cells.len()),
+            file: None,
+            offset: 0,
+            partial: Vec::new(),
+            lines: 0,
+            scan_bytes: 0,
+        }
+    }
+
+    /// Journal bytes read across every refresh (rescans included).
+    pub fn scan_bytes(&self) -> u64 {
+        self.scan_bytes
+    }
+
+    fn rescan(&mut self, file: Option<(File, (u64, u64))>) {
+        self.table = LeaseTable::new(self.table.cells());
+        self.file = file;
+        self.offset = 0;
+        self.partial.clear();
+        self.lines = 0;
+    }
+
+    /// Reads what was appended since the last refresh and folds it.
+    pub fn refresh(&mut self) -> io::Result<&LeaseTable> {
+        let ctx = |path: &Path, e: io::Error| {
+            io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+        };
+        let meta = match std::fs::metadata(&self.path) {
+            Ok(meta) => meta,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.rescan(None);
+                return Ok(&self.table);
+            }
+            Err(e) => return Err(ctx(&self.path, e)),
+        };
+        let current = self.file.as_ref().map(|(_, id)| *id);
+        if current != Some(file_identity(&meta)) || meta.len() < self.offset {
+            let f = File::open(&self.path).map_err(|e| ctx(&self.path, e))?;
+            let id = file_identity(&f.metadata().map_err(|e| ctx(&self.path, e))?);
+            self.rescan(Some((f, id)));
+        }
+        let Some((f, _)) = self.file.as_mut() else { unreachable!("opened above") };
+        let read = f.read_to_end(&mut self.partial).map_err(|e| ctx(&self.path, e))?;
+        self.offset += read as u64;
+        self.scan_bytes += read as u64;
+        if let Err(e) = self.fold_complete_lines() {
+            self.rescan(None);
+            return Err(e);
+        }
+        Ok(&self.table)
+    }
+
+    fn fold_complete_lines(&mut self) -> io::Result<()> {
+        let Some(end) = self.partial.iter().rposition(|&b| b == b'\n') else { return Ok(()) };
+        let rest = self.partial.split_off(end + 1);
+        let complete = std::mem::replace(&mut self.partial, rest);
+        let text = std::str::from_utf8(&complete)
+            .map_err(|e| invalid_data(&self.path, self.lines + 1, e))?;
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            self.lines += 1;
+            if self.lines == 1 {
+                check_shared_header(&self.path, line, Some(&self.config))?;
+                continue;
+            }
+            match decode_shared_record(&self.path, self.lines, line)? {
+                Some(SharedRecord::Lease(lease)) => self.table.apply(&lease),
+                Some(SharedRecord::Summary(summary)) => {
+                    if let Some(&cell) = self.index.get(&summary.experiment) {
+                        self.table.publish(cell);
+                    }
+                }
+                None => {}
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(unix)]
+fn file_identity(meta: &std::fs::Metadata) -> (u64, u64) {
+    use std::os::unix::fs::MetadataExt;
+    (meta.dev(), meta.ino())
+}
+
+#[cfg(not(unix))]
+fn file_identity(_meta: &std::fs::Metadata) -> (u64, u64) {
+    (0, 0)
 }
 
 /// Creates the shared journal with a durable header if it does not exist
@@ -1618,6 +1926,72 @@ mod tests {
         assert!(scan_shared(&path, Some("cfg-a")).is_ok());
         let err = scan_shared(&path, Some("cfg-b")).unwrap_err();
         assert!(err.to_string().contains("refusing to join"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn tail_keeps_the_hard_errors() {
+        let cells = [Experiment::paper(Workload::Water, Strategy::NoPrefetch, 16)];
+        let path = temp_path("tail-foreign");
+        ensure_shared(&path, "cfg-a").unwrap();
+        let mut tail = SharedTail::new(&path, "cfg-b", &cells);
+        let err = tail.refresh().unwrap_err();
+        assert!(err.to_string().contains("refusing to join"), "{err}");
+        // An error leaves nothing half-folded: the next refresh rescans
+        // and refuses again.
+        let err = tail.refresh().unwrap_err();
+        assert!(err.to_string().contains("refusing to join"), "{err}");
+
+        let mut tail = SharedTail::new(&path, "cfg-a", &cells);
+        assert_eq!(tail.refresh().unwrap().published(), 0);
+        let mut app = SharedAppender::open(&path, "journal").unwrap();
+        app.append(&frame_line("{\"v\":2,\"not\":\"a summary\"}")).unwrap();
+        let err = tail.refresh().unwrap_err();
+        assert!(err.to_string().contains(":2:"), "names the line: {err}");
+        assert!(tail.refresh().is_err(), "a CRC-valid undecodable line stays an error");
+        assert!(scan_shared(&path, Some("cfg-a")).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn tail_reads_each_byte_once_and_rescans_a_compacted_journal() {
+        let summary = sample_summary();
+        let cells = [summary.experiment, Experiment::paper(Workload::Water, Strategy::NoPrefetch, 16)];
+        let path = temp_path("tail-compact");
+        ensure_shared(&path, "cfg").unwrap();
+        let mut tail = SharedTail::new(&path, "cfg", &cells);
+        let mut app = SharedAppender::open(&path, "lease").unwrap();
+        let lease = |cell, worker: &str, gen| LeaseRecord {
+            event: if gen == 1 { LeaseEvent::Claim } else { LeaseEvent::Reclaim },
+            cell,
+            worker: worker.to_owned(),
+            gen,
+            deadline_ms: 10 * gen,
+        };
+        app.append(&frame_line(&encode_lease(&lease(1, "a", 1)))).unwrap();
+        app.append(&frame_line(&encode_lease(&lease(1, "b", 1)))).unwrap();
+        let t = tail.refresh().unwrap();
+        assert_eq!(t.winner(1, 1), Some("a"), "first opener wins");
+        assert_eq!(t.lease(1).map(|l| l.holder), Some("a"));
+        assert_eq!(t.claimable(0), Some(0));
+        app.append(&frame_line(&encode_lease(&lease(1, "b", 2)))).unwrap();
+        app.append(&frame_line(&encode_summary(&summary))).unwrap();
+        let t = tail.refresh().unwrap();
+        assert_eq!(t.lease(1).map(|l| (l.gen, l.holder)), Some((2, "b")));
+        assert!(t.is_published(0) && !t.is_published(1));
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(tail.scan_bytes(), len, "every byte read exactly once");
+        assert_eq!(tail.refresh().unwrap().published(), 1);
+        assert_eq!(tail.scan_bytes(), len, "an idle refresh reads nothing");
+
+        compact_shared(&path, "cfg", &cells).unwrap();
+        let compacted = std::fs::metadata(&path).unwrap().len();
+        assert!(compacted < len);
+        let t = tail.refresh().unwrap().clone();
+        let full = LeaseTable::from_scan(&scan_shared(&path, Some("cfg")).unwrap(), &cells);
+        assert_eq!(t, full, "a replaced journal is rescanned from byte zero");
+        assert_eq!(tail.scan_bytes(), len + compacted);
+        assert_eq!(t.winner(1, 1), None, "compaction dropped the superseded generation");
         let _ = std::fs::remove_file(&path);
     }
 }

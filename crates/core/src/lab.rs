@@ -396,7 +396,13 @@ const WATCHDOG_EVENT_FLOOR: u64 = 1 << 20;
 /// runaway simulation trips [`SimError::BudgetExceeded`] instead of wedging
 /// its worker forever; an honest run never gets near the bound.
 fn watchdog_budget(cfg: &RunConfig) -> u64 {
-    let accesses = (cfg.procs as u64).saturating_mul(cfg.refs_per_proc as u64);
+    event_budget((cfg.procs as u64).saturating_mul(cfg.refs_per_proc as u64))
+}
+
+/// The watchdog's event budget for a run of `accesses` demand accesses —
+/// what every Lab cell, and every single-cell CLI command, arms
+/// [`SimConfig::max_events`] with.
+pub fn event_budget(accesses: u64) -> u64 {
     WATCHDOG_EVENT_FLOOR.saturating_add(WATCHDOG_EVENTS_PER_ACCESS.saturating_mul(accesses))
 }
 

@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use chart::AsciiChart;
 pub use lab::{
-    execute_cell, BatchReport, Experiment, Lab, LabStats, ObserveSpec, RetryOutcome, RunConfig,
+    event_budget, execute_cell, BatchReport, Experiment, Lab, LabStats, ObserveSpec, RetryOutcome, RunConfig,
     RunError, RunFailure, RunMeta, RunSummary, MAX_JOBS,
 };
 pub use report::{format_rate, Table};

@@ -359,6 +359,9 @@ struct ServerState {
     /// static so in-process test servers can drain independently.
     drain: AtomicBool,
     started: Instant,
+    /// Test hook ([`Server::hold_admitted`]): while `true`, admitted
+    /// campaigns keep their queue slot but do not start.
+    hold: (Mutex<bool>, Condvar),
 }
 
 impl ServerState {
@@ -425,6 +428,7 @@ impl Server {
             conns: AtomicUsize::new(0),
             drain: AtomicBool::new(false),
             started: Instant::now(),
+            hold: (Mutex::new(false), Condvar::new()),
             cfg,
         });
         Ok(Server { listener, state })
@@ -471,6 +475,16 @@ impl Server {
     /// Requests a drain (what SIGTERM does, callable in-process).
     pub fn request_drain(&self) {
         self.state.drain.store(true, Ordering::SeqCst);
+    }
+
+    /// Test hook for deterministic admission tests: while held, every
+    /// admitted campaign keeps its queue slot but waits before opening its
+    /// journal, so a test can saturate the queue without racing the
+    /// occupant's completion. Release before draining.
+    #[doc(hidden)]
+    pub fn hold_admitted(&self, held: bool) {
+        *self.state.hold.0.lock().unwrap() = held;
+        self.state.hold.1.notify_all();
     }
 }
 
@@ -1065,6 +1079,7 @@ fn handle_submit(state: &Arc<ServerState>, request: &Json, resp: &mut Responder)
         }
     };
     state.stats.accepted.fetch_add(1, Ordering::Relaxed);
+    drop(state.hold.1.wait_while(state.hold.0.lock().unwrap(), |held| *held).unwrap());
 
     let cell_cfg = cell_config(&spec.cfg);
     let (key, token) = campaign_key(&cell_cfg, &spec.cells);

@@ -11,14 +11,17 @@
 //!
 //! ## The claim protocol
 //!
-//! 1. **Scan** the journal ([`scan_shared`]): published cells, plus a
-//!    lease table mapping each unpublished cell to its newest generation,
-//!    holder, and renewed deadline.
+//! 1. **Scan** the journal: published cells, plus a lease table mapping
+//!    each unpublished cell to its newest generation, holder, and renewed
+//!    deadline. Every scan is a [`SharedTail::refresh`] of the worker's one
+//!    tail of the campaign, which reads only the bytes appended since the
+//!    previous scan — so coordination I/O grows with the journal, not with
+//!    cells × journal.
 //! 2. **Pick** an unpublished cell that is unleased or whose deadline has
 //!    passed, and **append** a claim (`gen = newest + 1`, deadline
 //!    `now + lease_ms`), fsync'd — a claim that has not reached disk does
 //!    not exist.
-//! 3. **Verify** by re-scanning: concurrent claimants can both append the
+//! 3. **Verify** by scanning again: concurrent claimants can both append the
 //!    same generation, and the winner is the *first* record in file order
 //!    (O_APPEND makes file order a total order). Losers walk away and
 //!    pick another cell; nothing blocks.
@@ -26,7 +29,7 @@
 //!    `lease_ms / 3`. A worker that dies (SIGKILL, wedge, frozen writer)
 //!    stops renewing; once the deadline passes any peer reclaims the cell
 //!    at the next generation.
-//! 5. **Publish** behind a fencing check: re-scan, and drop the result if
+//! 5. **Publish** behind a fencing check: scan again, and drop the result if
 //!    the cell was published meanwhile or its newest generation exceeds
 //!    ours (we were presumed dead and superseded — a zombie's late result
 //!    is refused). Even the residual race — two fencing checks passing
@@ -48,7 +51,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use charlie::chaos;
 use charlie::checkpoint::{
     compact_shared, encode_lease, encode_summary, ensure_shared, frame_line, scan_shared,
-    LeaseEvent, LeaseRecord, SharedAppender, SharedScan,
+    LeaseEvent, LeaseRecord, LeaseTable, SharedAppender, SharedTail,
 };
 use charlie::retry::RetryPolicy;
 use charlie::wire;
@@ -109,6 +112,10 @@ pub struct WorkerReport {
     /// Results dropped at the fencing check (superseded or already
     /// published by a peer).
     pub fenced: u64,
+    /// Journal scans (tail refreshes) made by the claim loops.
+    pub scans: u64,
+    /// Journal bytes those scans read.
+    pub scan_bytes: u64,
     /// Exited through a SIGTERM drain (receipt written).
     pub drained: bool,
 }
@@ -129,6 +136,13 @@ pub struct Manifest {
     pub journal: PathBuf,
     /// The manifest file itself.
     pub path: PathBuf,
+}
+
+impl Manifest {
+    /// A fresh incremental reader of the campaign journal.
+    pub fn tail(&self) -> SharedTail {
+        SharedTail::new(&self.journal, &self.key, &self.cells)
+    }
 }
 
 fn now_ms() -> u64 {
@@ -177,12 +191,6 @@ pub fn write_manifest(state_dir: &Path, request_line: &str) -> io::Result<Manife
     Ok(Manifest { token, key, cell_cfg, cells: spec.cells, journal, path })
 }
 
-/// `(published, total)` for a campaign — what a joiner polls.
-pub fn campaign_progress(m: &Manifest) -> io::Result<(usize, usize)> {
-    let scan = scan_shared(&m.journal, Some(&m.key))?;
-    Ok((published_cells(m, &scan).len(), m.cells.len()))
-}
-
 /// The campaign's summaries in request order; `None` holes for cells not
 /// yet published.
 pub fn collect(m: &Manifest) -> io::Result<Vec<Option<RunSummary>>> {
@@ -205,50 +213,6 @@ pub fn finalize(m: &Manifest) -> io::Result<()> {
     }
 }
 
-/// Cell indices (into `m.cells`) already published.
-fn published_cells(m: &Manifest, scan: &SharedScan) -> std::collections::HashSet<u64> {
-    let index: HashMap<Experiment, u64> =
-        m.cells.iter().enumerate().map(|(i, e)| (*e, i as u64)).collect();
-    scan.summaries.iter().filter_map(|s| index.get(&s.experiment).copied()).collect()
-}
-
-/// A cell's newest lease: generation, holder, and the latest renewed
-/// deadline of that generation.
-#[derive(Clone, Debug, Default)]
-struct CellLease {
-    gen: u64,
-    holder: String,
-    deadline_ms: u64,
-}
-
-/// Folds the lease records (file order) into per-cell newest state.
-/// First-wins at equal generation: a losing racer's claim never displaces
-/// the holder, and only the holder's renewals extend the deadline.
-fn lease_table(scan: &SharedScan) -> HashMap<u64, CellLease> {
-    let mut table: HashMap<u64, CellLease> = HashMap::new();
-    for l in &scan.leases {
-        let e = table.entry(l.cell).or_default();
-        if l.event.opens_generation() {
-            if l.gen > e.gen {
-                e.gen = l.gen;
-                e.holder = l.worker.clone();
-                e.deadline_ms = l.deadline_ms;
-            }
-        } else if l.gen == e.gen && l.worker == e.holder {
-            e.deadline_ms = e.deadline_ms.max(l.deadline_ms);
-        }
-    }
-    table
-}
-
-/// The generation's winner: the first gen-opening record in file order.
-fn claim_winner<'a>(scan: &'a SharedScan, cell: u64, gen: u64) -> Option<&'a str> {
-    scan.leases
-        .iter()
-        .find(|l| l.cell == cell && l.gen == gen && l.event.opens_generation())
-        .map(|l| l.worker.as_str())
-}
-
 /// Per-campaign state shared by a worker's claim threads and its
 /// heartbeat thread. The appenders are persistent for the campaign so a
 /// one-shot chaos fault (`lease:torn@k`) fires once per process instead
@@ -256,6 +220,8 @@ fn claim_winner<'a>(scan: &'a SharedScan, cell: u64, gen: u64) -> Option<&'a str
 struct Fleet<'a> {
     cfg: &'a WorkerConfig,
     m: &'a Manifest,
+    /// The worker's one tail of the campaign journal, shared by every scan.
+    tail: &'a Mutex<SharedTail>,
     lease_app: Mutex<SharedAppender>,
     out_app: Mutex<SharedAppender>,
     /// `(cell, gen)` leases this worker currently holds (being simulated).
@@ -264,6 +230,8 @@ struct Fleet<'a> {
     completed: AtomicU64,
     reclaimed: AtomicU64,
     fenced: AtomicU64,
+    scans: AtomicU64,
+    scan_bytes: AtomicU64,
     /// SIGKILL simulation fired ([`WorkerConfig::die_after_claims`]):
     /// everything stops, including heartbeats.
     dead: AtomicBool,
@@ -293,57 +261,68 @@ impl Fleet<'_> {
         self.lease_app.lock().unwrap().append(&frame_line(&encode_lease(rec)))
     }
 
-    fn write_health(&self, draining: bool) {
-        let _ = write_health(
-            self.cfg,
-            &WorkerReport {
-                claimed: self.claimed.load(Ordering::Relaxed),
-                completed: self.completed.load(Ordering::Relaxed),
-                reclaimed: self.reclaimed.load(Ordering::Relaxed),
-                fenced: self.fenced.load(Ordering::Relaxed),
-                drained: draining,
-            },
-        );
+    /// Scans the journal (refreshes the tail) and answers `query` from the
+    /// up-to-date table.
+    fn scan<R>(&self, query: impl FnOnce(&LeaseTable) -> R) -> io::Result<R> {
+        let mut tail = self.tail.lock().unwrap();
+        let before = tail.scan_bytes();
+        let answer = query(tail.refresh()?);
+        self.scans.fetch_add(1, Ordering::Relaxed);
+        self.scan_bytes.fetch_add(tail.scan_bytes() - before, Ordering::Relaxed);
+        Ok(answer)
+    }
+
+    /// The lifetime counters as they stand.
+    fn totals(&self) -> WorkerReport {
+        WorkerReport {
+            claimed: self.claimed.load(Ordering::SeqCst),
+            completed: self.completed.load(Ordering::SeqCst),
+            reclaimed: self.reclaimed.load(Ordering::SeqCst),
+            fenced: self.fenced.load(Ordering::SeqCst),
+            scans: self.scans.load(Ordering::SeqCst),
+            scan_bytes: self.scan_bytes.load(Ordering::SeqCst),
+            drained: false,
+        }
+    }
+
+    fn write_health(&self) {
+        let _ = write_health(self.cfg, &self.totals());
     }
 }
 
 /// One claim thread: scan → pick → claim → verify → run → fence → publish
 /// until the campaign is published, the worker is draining, or it died.
 fn claim_loop(fleet: &Fleet) {
+    let id = fleet.cfg.id.as_str();
     loop {
         if fleet.stopping() || fleet.draining() {
             return;
         }
-        let scan = match scan_shared(&fleet.m.journal, Some(&fleet.m.key)) {
-            Ok(scan) => scan,
+        let scanned = fleet.scan(|t| {
+            let pick =
+                t.claimable(now_ms()).map(|cell| (cell, t.lease(cell).map_or(0, |l| l.gen)));
+            (t.published() == t.cells(), pick)
+        });
+        let (complete, pick) = match scanned {
+            Ok(scanned) => scanned,
             Err(e) => return fleet.fail(e),
         };
-        let published = published_cells(fleet.m, &scan);
-        if published.len() == fleet.m.cells.len() {
+        if complete {
             fleet.done.store(true, Ordering::SeqCst);
             return;
         }
-        let table = lease_table(&scan);
-        let now = now_ms();
-        let candidate = (0..fleet.m.cells.len() as u64).filter(|i| !published.contains(i)).find(
-            |i| match table.get(i) {
-                None => true,
-                Some(l) => now > l.deadline_ms,
-            },
-        );
-        let Some(cell) = candidate else {
+        let Some((cell, prior_gen)) = pick else {
             // Everything unpublished is validly leased (to peers, or to
             // this worker's other threads); wait for publishes or expiry.
             std::thread::sleep(Duration::from_millis(fleet.cfg.poll_ms));
             continue;
         };
-        let prior = table.get(&cell).cloned().unwrap_or_default();
-        let gen = prior.gen + 1;
-        let event = if prior.gen == 0 { LeaseEvent::Claim } else { LeaseEvent::Reclaim };
+        let gen = prior_gen + 1;
+        let event = if prior_gen == 0 { LeaseEvent::Claim } else { LeaseEvent::Reclaim };
         let rec = LeaseRecord {
             event,
             cell,
-            worker: fleet.cfg.id.clone(),
+            worker: id.to_owned(),
             gen,
             deadline_ms: now_ms() + fleet.cfg.lease_ms,
         };
@@ -353,12 +332,10 @@ fn claim_loop(fleet: &Fleet) {
         // Verify: first gen-opening record in file order wins the
         // generation. (A torn claim — chaos-injected or a real partial
         // write — simply fails to scan as ours, and we retry.)
-        let verify = match scan_shared(&fleet.m.journal, Some(&fleet.m.key)) {
-            Ok(scan) => scan,
+        match fleet.scan(|t| t.winner(cell, gen) == Some(id)) {
             Err(e) => return fleet.fail(e),
-        };
-        if claim_winner(&verify, cell, gen) != Some(fleet.cfg.id.as_str()) {
-            continue; // lost the race; pick another cell
+            Ok(false) => continue, // lost the race; pick another cell
+            Ok(true) => {}
         }
         fleet.claimed.fetch_add(1, Ordering::SeqCst);
         if event == LeaseEvent::Reclaim {
@@ -373,7 +350,7 @@ fn claim_loop(fleet: &Fleet) {
             }
         }
         fleet.active.lock().unwrap().push((cell, gen));
-        fleet.write_health(false);
+        fleet.write_health();
 
         let exp = fleet.m.cells[cell as usize];
         let salt = RetryPolicy::salt(&format!("{exp}"));
@@ -393,22 +370,23 @@ fn claim_loop(fleet: &Fleet) {
 
         // Fencing: publish only while our generation is still the newest
         // and nobody published the cell meanwhile.
-        let fence = match scan_shared(&fleet.m.journal, Some(&fleet.m.key)) {
-            Ok(scan) => scan,
+        let fenced = fleet
+            .scan(|t| t.is_published(cell) || t.lease(cell).is_some_and(|l| l.gen > gen));
+        match fenced {
             Err(e) => return fleet.fail(e),
-        };
-        let superseded = lease_table(&fence).get(&cell).is_some_and(|l| l.gen > gen);
-        if superseded || published_cells(fleet.m, &fence).contains(&cell) {
-            fleet.fenced.fetch_add(1, Ordering::SeqCst);
-            fleet.write_health(false);
-            continue;
+            Ok(true) => {
+                fleet.fenced.fetch_add(1, Ordering::SeqCst);
+                fleet.write_health();
+                continue;
+            }
+            Ok(false) => {}
         }
         if let Err(e) = fleet.out_app.lock().unwrap().append(&frame_line(&encode_summary(&summary)))
         {
             return fleet.fail(e);
         }
         fleet.completed.fetch_add(1, Ordering::SeqCst);
-        fleet.write_health(false);
+        fleet.write_health();
     }
 }
 
@@ -420,7 +398,9 @@ fn heartbeat_loop(fleet: &Fleet) {
     let tick = Duration::from_millis(fleet.cfg.poll_ms.min(fleet.cfg.lease_ms / 3).max(1));
     let mut last = std::time::Instant::now();
     loop {
-        if fleet.stopping() {
+        // A draining worker's claim loops stop claiming; once its last
+        // in-flight cell is done there is nothing left to renew.
+        if fleet.stopping() || (fleet.draining() && fleet.active.lock().unwrap().is_empty()) {
             return;
         }
         std::thread::sleep(tick);
@@ -441,16 +421,8 @@ fn heartbeat_loop(fleet: &Fleet) {
                 return fleet.fail(e);
             }
         }
-        fleet.write_health(false);
+        fleet.write_health();
     }
-}
-
-/// Accumulates one campaign's counters into the worker-lifetime report.
-fn absorb(report: &mut WorkerReport, fleet_counts: &WorkerReport) {
-    report.claimed += fleet_counts.claimed;
-    report.completed += fleet_counts.completed;
-    report.reclaimed += fleet_counts.reclaimed;
-    report.fenced += fleet_counts.fenced;
 }
 
 fn health_path(cfg: &WorkerConfig) -> PathBuf {
@@ -465,7 +437,8 @@ fn write_health(cfg: &WorkerConfig, totals: &WorkerReport) -> io::Result<()> {
     wire::push_str_field(&mut s, "worker", &cfg.id);
     s.push_str(&format!(
         "\"pid\":{},\"draining\":{},\"last_heartbeat_ms\":{},\"lease_ms\":{},\
-         \"claimed\":{},\"completed\":{},\"reclaimed\":{},\"fenced\":{}}}",
+         \"claimed\":{},\"completed\":{},\"reclaimed\":{},\"fenced\":{},\
+         \"scans\":{},\"scan_bytes\":{}}}",
         std::process::id(),
         u64::from(totals.drained),
         now_ms(),
@@ -474,6 +447,8 @@ fn write_health(cfg: &WorkerConfig, totals: &WorkerReport) -> io::Result<()> {
         totals.completed,
         totals.reclaimed,
         totals.fenced,
+        totals.scans,
+        totals.scan_bytes,
     ));
     chaos::write_atomic(&health_path(cfg), s.as_bytes(), "health")
 }
@@ -518,6 +493,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<WorkerReport> {
         io::Error::new(e.kind(), format!("creating {}: {e}", cfg.state_dir.display()))
     })?;
     let mut report = WorkerReport::default();
+    let mut tails: HashMap<PathBuf, Mutex<SharedTail>> = HashMap::new();
     write_health(cfg, &report)?;
     loop {
         if SIGTERM_DRAIN.load(Ordering::SeqCst) {
@@ -539,6 +515,9 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<WorkerReport> {
             }
         };
         manifests.sort();
+        // One tail per campaign for the worker's lifetime; a campaign
+        // whose manifest is gone (finalized) drops its tail.
+        tails.retain(|path, _| manifests.contains(path));
         let mut all_done = true;
         for path in &manifests {
             let m = match load_manifest(path) {
@@ -548,26 +527,14 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<WorkerReport> {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
             };
-            let before = WorkerReport {
-                claimed: report.claimed,
-                completed: report.completed,
-                reclaimed: report.reclaimed,
-                fenced: report.fenced,
-                drained: false,
-            };
-            // Seed the campaign counters from the lifetime report so
-            // health files show lifetime totals.
-            let done = {
-                let fleet_report = run_campaign_with_totals(cfg, &m, &before)?;
-                absorb(&mut report, &fleet_report.0);
-                if fleet_report.1 {
-                    // die_after_claims fired: the worker is "dead" — stop
-                    // touching the state dir entirely, like a SIGKILL.
-                    return Ok(report);
-                }
-                fleet_report.2
-            };
-            all_done &= done;
+            let tail = tails.entry(path.clone()).or_insert_with(|| Mutex::new(m.tail()));
+            let (died, complete) = run_campaign(cfg, &m, tail, &mut report)?;
+            if died {
+                // die_after_claims fired: the worker is "dead" — stop
+                // touching the state dir entirely, like a SIGKILL.
+                return Ok(report);
+            }
+            all_done &= complete;
         }
         if cfg.exit_when_idle && all_done {
             write_health(cfg, &report)?;
@@ -578,46 +545,49 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<WorkerReport> {
     }
 }
 
-/// [`run_campaign`] wrapper threading lifetime totals into the health
-/// file: returns (campaign counters, died, campaign complete).
-fn run_campaign_with_totals(
+/// Drives one campaign until it is fully published, this worker drains, or
+/// it dies. `report` holds the worker's lifetime counters, which the
+/// health file shows; they come back updated. Returns (died, campaign
+/// complete).
+fn run_campaign(
     cfg: &WorkerConfig,
     m: &Manifest,
-    lifetime: &WorkerReport,
-) -> io::Result<(WorkerReport, bool, bool)> {
+    tail: &Mutex<SharedTail>,
+    report: &mut WorkerReport,
+) -> io::Result<(bool, bool)> {
     ensure_shared(&m.journal, &m.key)?;
     let fleet = Fleet {
         cfg,
         m,
+        tail,
         lease_app: Mutex::new(SharedAppender::open(&m.journal, "lease")?),
         out_app: Mutex::new(SharedAppender::open(&m.journal, "journal")?),
         active: Mutex::new(Vec::new()),
-        claimed: AtomicU64::new(lifetime.claimed),
-        completed: AtomicU64::new(lifetime.completed),
-        reclaimed: AtomicU64::new(lifetime.reclaimed),
-        fenced: AtomicU64::new(lifetime.fenced),
+        claimed: AtomicU64::new(report.claimed),
+        completed: AtomicU64::new(report.completed),
+        reclaimed: AtomicU64::new(report.reclaimed),
+        fenced: AtomicU64::new(report.fenced),
+        scans: AtomicU64::new(report.scans),
+        scan_bytes: AtomicU64::new(report.scan_bytes),
         dead: AtomicBool::new(false),
         done: AtomicBool::new(false),
         failed: Mutex::new(None),
     };
+    // One claim loop runs on this thread: a fresh thread per campaign
+    // would take its own allocator arena and keep that memory.
     std::thread::scope(|scope| {
-        for _ in 0..cfg.jobs.max(1) {
+        for _ in 1..cfg.jobs.max(1) {
             scope.spawn(|| claim_loop(&fleet));
         }
         scope.spawn(|| heartbeat_loop(&fleet));
+        claim_loop(&fleet);
     });
     if let Some(e) = fleet.failed.lock().unwrap().take() {
-        fleet.write_health(false);
+        fleet.write_health();
         return Err(e);
     }
-    let counts = WorkerReport {
-        claimed: fleet.claimed.load(Ordering::SeqCst) - lifetime.claimed,
-        completed: fleet.completed.load(Ordering::SeqCst) - lifetime.completed,
-        reclaimed: fleet.reclaimed.load(Ordering::SeqCst) - lifetime.reclaimed,
-        fenced: fleet.fenced.load(Ordering::SeqCst) - lifetime.fenced,
-        drained: false,
-    };
-    Ok((counts, fleet.dead.load(Ordering::SeqCst), fleet.done.load(Ordering::SeqCst)))
+    *report = WorkerReport { drained: report.drained, ..fleet.totals() };
+    Ok((fleet.dead.load(Ordering::SeqCst), fleet.done.load(Ordering::SeqCst)))
 }
 
 /// One parsed `workers/<id>.json` health file.
@@ -632,6 +602,8 @@ struct Health {
     completed: u64,
     reclaimed: u64,
     fenced: u64,
+    scans: u64,
+    scan_bytes: u64,
 }
 
 fn read_health_files(state_dir: &Path) -> Vec<Health> {
@@ -655,6 +627,8 @@ fn read_health_files(state_dir: &Path) -> Vec<Health> {
             completed: num("completed"),
             reclaimed: num("reclaimed"),
             fenced: num("fenced"),
+            scans: num("scans"),
+            scan_bytes: num("scan_bytes"),
         });
     }
     out.sort_by(|a, b| a.worker.cmp(&b.worker));
@@ -677,12 +651,9 @@ fn lease_counts(state_dir: &Path) -> HashMap<String, (u64, u64)> {
         }
         let Ok(m) = load_manifest(&path) else { continue };
         let Ok(scan) = scan_shared(&m.journal, Some(&m.key)) else { continue };
-        let published = published_cells(&m, &scan);
-        for (cell, lease) in lease_table(&scan) {
-            if published.contains(&cell) {
-                continue;
-            }
-            let slot = counts.entry(lease.holder).or_insert((0, 0));
+        let table = LeaseTable::from_scan(&scan, &m.cells);
+        for (_, lease) in table.unpublished_leases() {
+            let slot = counts.entry(lease.holder.to_owned()).or_insert((0, 0));
             if now > lease.deadline_ms {
                 slot.1 += 1;
             } else {
@@ -720,7 +691,8 @@ pub fn render_workers_section(state_dir: &Path) -> Option<String> {
         entry.push_str(&format!(
             "\"pid\":{},\"live\":{},\"draining\":{},\"heartbeat_age_ms\":{},\
              \"leases_live\":{},\"leases_expired\":{},\
-             \"claimed\":{},\"completed\":{},\"reclaimed\":{},\"fenced\":{}}}",
+             \"claimed\":{},\"completed\":{},\"reclaimed\":{},\"fenced\":{},\
+             \"scans\":{},\"scan_bytes\":{}}}",
             h.pid,
             u64::from(live),
             u64::from(h.draining),
@@ -731,6 +703,8 @@ pub fn render_workers_section(state_dir: &Path) -> Option<String> {
             h.completed,
             h.reclaimed,
             h.fenced,
+            h.scans,
+            h.scan_bytes,
         ));
         detail.push_str(&entry);
     }

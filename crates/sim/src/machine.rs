@@ -111,6 +111,19 @@ struct Tallies {
 /// approximation error of functional snoop ordering.
 const FF_RUN_AHEAD: u64 = 4096;
 
+/// Forward-progress guard: once a pending demand access has had this many
+/// consecutive fills invalidated before it could retire, its next fill
+/// retires it in the same step, ahead of the next bus grant's snoop.
+///
+/// Without it, a fill completing in the same cycle as the next grant loses
+/// the line to that grant's snoop before its processor wakes (the wake is
+/// queued behind the grant). A re-request waits out the uncontended latency
+/// before it can be granted, so once the writers of one line outnumber that
+/// gap in transfers, with no other demand traffic — e.g. the last arrivals
+/// at a barrier writing its counter while the rest wait — a re-request is
+/// always ready when the next fill lands, and the run never ends.
+const STOLEN_FILL_LIMIT: u32 = 4;
+
 /// State of an attached [`SamplePlan`]: the current window's position and
 /// counter base, plus the per-window records handed back to the estimator.
 struct PlanState {
@@ -1113,6 +1126,7 @@ impl<'t> Machine<'t> {
                     // miss is already classified but the refetch still costs
                     // a bus transaction.
                     self.tallies.demand_refills += 1;
+                    self.procs[p].pending.as_mut().expect("pending").stolen_fills += 1;
                 }
                 if self.ff_ready(line) {
                     return self.ff_fill(p, line, is_write, word);
@@ -1738,9 +1752,19 @@ impl<'t> Machine<'t> {
                 if info.issued_at >= self.measured_from {
                     self.tallies.fill_latency.record(now - info.issued_at);
                 }
-                self.install_fill(proc.index(), line, op, info.others_have_copy, false, now);
-                let woke = self.wake_if_waiting(now, proc.index(), id);
-                debug_assert!(woke, "demand fill completion must find its waiter");
+                let p = proc.index();
+                self.install_fill(p, line, op, info.others_have_copy, false, now);
+                let starved = self.procs[p]
+                    .pending
+                    .is_some_and(|pa| pa.stolen_fills >= STOLEN_FILL_LIMIT);
+                if starved && self.procs[p].waiting_txn == Some(id) {
+                    // Retire now, before anything else in this cycle can
+                    // snoop the line away again.
+                    self.on_wake(now, p, self.epochs[p]);
+                } else {
+                    let woke = self.wake_if_waiting(now, p, id);
+                    debug_assert!(woke, "demand fill completion must find its waiter");
+                }
             }
             TxnAction::PrefetchFill { proc, line, op } => {
                 let p = proc.index();

@@ -39,11 +39,13 @@ pub(crate) struct PendingAccess {
     /// Under the write-update protocol: the word broadcast for this store
     /// already completed, so the (still-shared) write may retire as a hit.
     pub update_complete: bool,
+    /// Fills of this access invalidated by a peer before it could retire.
+    pub stolen_fills: u32,
 }
 
 impl PendingAccess {
     pub(crate) fn new(access: Access, purpose: Purpose) -> Self {
-        PendingAccess { access, purpose, counted: false, update_complete: false }
+        PendingAccess { access, purpose, counted: false, update_complete: false, stolen_fills: 0 }
     }
 }
 

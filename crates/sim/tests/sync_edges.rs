@@ -160,3 +160,29 @@ fn measurement_window_boundary_on_sync_events() {
         }
     }
 }
+
+/// Processors that all write one line at once, with no other bus traffic,
+/// must each retire their write. A fill completing in the same cycle as the
+/// next writer's grant loses the line to that grant's snoop before its own
+/// processor wakes. A writer's re-request waits out the uncontended latency
+/// (100 − transfer cycles) before it can be granted, so once the writers
+/// outnumber that gap in transfers, a re-request is always ready when the
+/// next fill lands: every fill is stolen by the next writer and, without a
+/// forward-progress guard, the run never ends. Found as Pverify/PREF
+/// @32cy, 8p × 20k refs, seed 17896831245006598926: four last arrivals at
+/// a barrier writing its counter while the other four wait.
+#[test]
+fn simultaneous_writers_to_one_line_make_progress() {
+    // The smallest livelocking writer count at each transfer latency.
+    for (transfer, procs) in [(16, 8), (24, 5), (32, 4), (44, 3), (64, 2), (100, 2)] {
+        let mut b = TraceBuilder::new(procs);
+        for p in 0..procs {
+            b.proc(p).write(Addr::new(0x9000)).barrier(0).write(Addr::new(0x9004));
+        }
+        let budgeted = SimConfig { max_events: 1 << 16, ..SimConfig::paper(procs, transfer) };
+        let report = simulate(&budgeted, &b.build())
+            .unwrap_or_else(|e| panic!("{procs} writers @{transfer}cy must all retire: {e}"));
+        assert!(report.writes >= 2 * procs as u64, "@{transfer}cy: {} writes", report.writes);
+        assert!(report.demand_refills > 0, "@{transfer}cy: the fills really were stolen");
+    }
+}

@@ -256,3 +256,27 @@ fn try_run_reports_injected_watchdog_error() {
     lab.clear_fault_injector();
     assert!(lab.try_run(exp).is_ok());
 }
+
+/// Regression: these cells once livelocked. Enough processors wrote one
+/// line at once with no other bus traffic (in the Pverify cell, four last
+/// arrivals at a barrier writing its counter while the other four waited)
+/// that each fill was stolen by the next writer's grant in the same cycle,
+/// forever; the Lab's watchdog failed them with `BudgetExceeded` (the
+/// Pverify cell at cycle 136M; its NP sibling takes 615,259 cycles). The
+/// simulator's forward-progress guard lets them finish.
+#[test]
+fn barrier_storm_cells_complete() {
+    for (workload, strategy, transfer, refs, seed, cycles) in [
+        (Workload::Pverify, Strategy::Pref, 32, 20_000, 17_896_831_245_006_598_926, 643_362),
+        (Workload::Mp3d, Strategy::Lpd, 32, 20_000, 7_938_126_808_087_807_151, 751_978),
+        (Workload::Topopt, Strategy::Lpd, 44, 2_000, 10_199_731_439_688_768_295, 172_136),
+    ] {
+        let cfg =
+            RunConfig { procs: 8, refs_per_proc: refs, seed, wall_limit_ms: 0, ..RunConfig::default() };
+        let exp = Experiment::paper(workload, strategy, transfer);
+        let summary = charlie::execute_cell(&cfg, exp)
+            .unwrap_or_else(|e| panic!("{exp} (seed {seed}) must finish: {e}"));
+        assert_eq!(summary.report.cycles, cycles, "{exp} (seed {seed})");
+        assert!(summary.report.demand_refills > 0, "{exp}: fills were stolen");
+    }
+}

@@ -271,8 +271,11 @@ fn saturated_daemon_sheds_with_retry_hint() {
     let mut cfg = server_config(scratch("shed"));
     cfg.queue = 1;
     cfg.jobs = 1;
-    let (_server, addr, runner) = start_server(cfg);
-    let slow = client::SubmitRequest {
+    let (server, addr, runner) = start_server(cfg);
+    // The occupant holds the only queue slot until released, however fast
+    // its cells would run.
+    server.hold_admitted(true);
+    let request = client::SubmitRequest {
         grid: client::Grid::Cells(vec![
             Experiment::paper(Workload::Water, Strategy::NoPrefetch, 8),
             Experiment::paper(Workload::Water, Strategy::Pref, 8),
@@ -286,10 +289,10 @@ fn saturated_daemon_sheds_with_retry_hint() {
         sampling: None,
     };
     let occupant = {
-        let (slow, addr) = (slow.clone(), addr.clone());
-        std::thread::spawn(move || client::submit(&addr, &slow).unwrap())
+        let (request, addr) = (request.clone(), addr.clone());
+        std::thread::spawn(move || client::submit(&addr, &request).unwrap())
     };
-    // Wait until the occupant holds the only queue slot.
+    // Wait until the occupant is admitted.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let stats = client::stats(&addr).unwrap();
@@ -299,7 +302,7 @@ fn saturated_daemon_sheds_with_retry_hint() {
         assert!(Instant::now() < deadline, "occupant never admitted");
         std::thread::sleep(Duration::from_millis(10));
     }
-    let shed = client::submit(&addr, &slow).unwrap();
+    let shed = client::submit(&addr, &request).unwrap();
     match shed.first().expect("a reply frame") {
         client::Frame::Saturated { retry_after_ms } => {
             // The hint is jittered per client (seeded from the peer address)
@@ -311,6 +314,7 @@ fn saturated_daemon_sheds_with_retry_hint() {
         }
         other => panic!("expected saturated shed, got {other:?}"),
     }
+    server.hold_admitted(false);
     let frames = occupant.join().unwrap();
     assert!(frames.iter().any(|f| matches!(f, client::Frame::Done { .. })));
     let stats = client::stats(&addr).unwrap();
@@ -508,6 +512,114 @@ proptest! {
             "compaction must preserve every summary"
         );
     }
+}
+
+/// Fleet coordination costs grow with the journal, not with cells ×
+/// journal: each worker's claim threads share one tail of the campaign
+/// journal, so over a whole campaign a worker reads at most twice the final
+/// journal per claim thread. (Three full scans per claim, as a worker once
+/// made, read over a hundred times the journal on this grid.) The counters
+/// reach the health files and the `serve --stats` workers section.
+#[test]
+fn fleet_scan_bytes_stay_linear_in_the_journal() {
+    use charlie_serve::worker::{self, WorkerConfig};
+    let dir = scratch("scan-bytes");
+    let cells: Vec<Experiment> = [Workload::Water, Workload::Mp3d]
+        .into_iter()
+        .flat_map(|w| Strategy::ALL.into_iter().map(move |s| Experiment::paper(w, s, 8)))
+        .collect();
+    let request = client::SubmitRequest {
+        grid: client::Grid::Cells(cells.clone()),
+        procs: Some(2),
+        refs: Some(300),
+        seed: None,
+        deadline_ms: None,
+        hw_prefetch: None,
+        protocol: None,
+        sampling: None,
+    };
+    let m = worker::write_manifest(&dir, &request.encode()).unwrap();
+    const JOBS: usize = 2;
+    let reports: Vec<worker::WorkerReport> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|i| {
+                let mut cfg = WorkerConfig::new(&dir);
+                cfg.id = format!("lin{i}");
+                cfg.poll_ms = 5;
+                cfg.jobs = JOBS;
+                cfg.exit_when_idle = true;
+                scope.spawn(move || worker::run_worker(&cfg).unwrap())
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(worker::collect(&m).unwrap().iter().all(Option::is_some));
+    let journal = std::fs::metadata(&m.journal).unwrap().len();
+    let completed: u64 = reports.iter().map(|r| r.completed).sum();
+    assert_eq!(completed, cells.len() as u64);
+    for r in &reports {
+        assert!(r.scans > 0, "{r:?}");
+        assert!(
+            r.scan_bytes <= 2 * journal * JOBS as u64,
+            "scanned {} bytes of a {journal}-byte journal: {r:?}",
+            r.scan_bytes
+        );
+    }
+    let stats = worker::render_workers_section(&dir).expect("workers registered");
+    for r in &reports {
+        assert!(stats.contains(&format!("\"scans\":{},\"scan_bytes\":{}", r.scans, r.scan_bytes)), "{stats}");
+    }
+}
+
+/// SIGTERM drains a fleet worker mid-campaign: it finishes its cell, stops
+/// renewing, writes its receipt and exits, leaving the rest of the grid to
+/// the fleet.
+#[test]
+fn sigterm_drains_a_fleet_worker() {
+    use charlie_serve::worker;
+    let dir = scratch("drain");
+    let request = client::SubmitRequest {
+        grid: client::Grid::Cells(
+            Strategy::ALL.into_iter().map(|s| Experiment::paper(Workload::Water, s, 8)).collect(),
+        ),
+        procs: Some(2),
+        refs: Some(20_000),
+        seed: None,
+        deadline_ms: None,
+        hw_prefetch: None,
+        protocol: None,
+        sampling: None,
+    };
+    worker::write_manifest(&dir, &request.encode()).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_charlie"))
+        .args(["serve", "--worker", "--worker-id", "drainee", "--lease-ms", "3000", "--state-dir"])
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning worker");
+    let health = dir.join("workers").join("drainee.json");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !std::fs::read_to_string(&health).is_ok_and(|h| !h.contains("\"claimed\":0,")) {
+        assert!(Instant::now() < deadline, "worker never claimed a cell");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let term = Command::new("kill").args(["-TERM", &child.id().to_string()]).status().unwrap();
+    assert!(term.success());
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("a SIGTERM'd worker must drain and exit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "{status:?}");
+    let receipt = std::fs::read_to_string(dir.join("receipts").join("drainee.json")).unwrap();
+    assert!(receipt.contains("\"worker\":\"drainee\""), "{receipt}");
 }
 
 /// Malformed, oversized, or wrong-shape requests never panic the daemon:
