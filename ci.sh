@@ -70,6 +70,12 @@ cargo test -q --release -p charlie --test tail_props
 echo "== benches compile =="
 cargo bench --no-run -q
 
+echo "== perfbench builds and passes its own tests =="
+# perfbench is a package of its own (outside the workspace) that drives the
+# serve and core APIs; building it here turns an API change that breaks the
+# benchmark into a CI failure rather than a failed benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== quick-bench smoke vs checked-in baseline =="
 # Fails if events/sec drops more than 20% below BENCH_charlie.json's
 # quick_baseline run. Catches large regressions; the full grid slice
@@ -224,6 +230,10 @@ serve_addr=""
 start_daemon() {  # start_daemon <state-dir> [extra serve flags...]
     local dir=$1
     shift
+    # Create the log first: the background job opens its redirect only
+    # after the fork, and under `set -e -o pipefail` a `sed` that runs
+    # before then would fail on the missing file and abort the script.
+    : >"$serve_log"
     "$BIN" serve --addr 127.0.0.1:0 --state-dir "$dir" "$@" \
         >"$serve_log" 2>"$serve_log.err" &
     serve_pid=$!

@@ -1,6 +1,7 @@
 //! Bus/memory-subsystem timing parameters.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Timing parameters of the memory subsystem.
 ///
@@ -25,14 +26,19 @@ impl BusConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `transfer_cycles` is zero or exceeds the 100-cycle total.
+    /// Panics if `transfer_cycles` is outside [`BusConfig::TRANSFER_RANGE`].
     pub fn paper(transfer_cycles: u64) -> Self {
         assert!(
-            transfer_cycles > 0 && transfer_cycles <= 100,
-            "transfer latency must be in 1..=100"
+            Self::TRANSFER_RANGE.contains(&transfer_cycles),
+            "transfer latency must be in {:?}",
+            Self::TRANSFER_RANGE
         );
         BusConfig { total_latency: 100, transfer_cycles, invalidate_cycles: 2 }
     }
+
+    /// The transfer latencies [`BusConfig::paper`] can build: at least one
+    /// cycle, at most the whole 100-cycle total.
+    pub const TRANSFER_RANGE: RangeInclusive<u64> = 1..=100;
 
     /// The transfer latencies the paper sweeps (Figure 2's x-axis).
     pub const PAPER_SWEEP: [u64; 5] = [4, 8, 16, 24, 32];

@@ -416,12 +416,28 @@ fn experiment_salt(exp: Experiment) -> u64 {
 /// Workload-generator settings for the lab's machine at a given layout —
 /// the only experiment axis (besides the workload itself) that changes the
 /// raw trace. Strategy and transfer latency do not.
-fn workload_config(cfg: &RunConfig, layout: Layout) -> WorkloadConfig {
+pub(crate) fn workload_config(cfg: &RunConfig, layout: Layout) -> WorkloadConfig {
     WorkloadConfig {
         procs: cfg.procs,
         refs_per_proc: cfg.refs_per_proc,
         seed: cfg.seed,
         layout,
+    }
+}
+
+/// The simulator configuration for one cell under `cfg`: the paper's
+/// machine at the cell's transfer latency, with the lab's geometry,
+/// watchdog budget, wall limit, hardware prefetcher and coherence
+/// protocol. Every path that simulates a cell (the lab, calibration, the
+/// exact reference) builds it here, so none can drop a knob.
+pub(crate) fn sim_config(cfg: &RunConfig, exp: Experiment) -> SimConfig {
+    SimConfig {
+        geometry: cfg.geometry,
+        max_events: watchdog_budget(cfg),
+        wall_limit_ms: cfg.wall_limit_ms,
+        hw_prefetch: cfg.hw_prefetch,
+        protocol: cfg.protocol,
+        ..SimConfig::paper(cfg.procs, exp.transfer_cycles)
     }
 }
 
@@ -436,14 +452,7 @@ fn run_on_prepared(
     prefetches_inserted: u64,
     observe: &ObserveSpec,
 ) -> Result<RunSummary, RunError> {
-    let sim_cfg = SimConfig {
-        geometry: cfg.geometry,
-        max_events: watchdog_budget(cfg),
-        wall_limit_ms: cfg.wall_limit_ms,
-        hw_prefetch: cfg.hw_prefetch,
-        protocol: cfg.protocol,
-        ..SimConfig::paper(cfg.procs, exp.transfer_cycles)
-    };
+    let sim_cfg = sim_config(cfg, exp);
     if let Some(scfg) = cfg.sampling {
         let (report, sampled) =
             crate::sampling::run_sampled_on_prepared(&sim_cfg, prepared, &scfg)

@@ -39,7 +39,7 @@ use charlie_sim::{
     SimError, SimReport, WindowKind,
 };
 use charlie_trace::Trace;
-use charlie_workloads::{generate, Workload, WorkloadConfig};
+use charlie_workloads::{generate, Workload};
 use std::fmt;
 
 /// Two-sided 99% normal quantile used for every confidence interval.
@@ -802,22 +802,10 @@ fn calibrate_cell(
 /// Builds the simulator configuration and prepared trace for one cell the
 /// same way the lab does (validated raw trace, strategy applied).
 fn prepare_cell(cfg: &RunConfig, exp: Experiment) -> Result<(SimConfig, Trace), SimError> {
-    let wcfg = WorkloadConfig {
-        procs: cfg.procs,
-        refs_per_proc: cfg.refs_per_proc,
-        seed: cfg.seed,
-        layout: exp.layout,
-    };
-    let raw = generate(exp.workload, &wcfg);
+    let raw = generate(exp.workload, &crate::lab::workload_config(cfg, exp.layout));
     raw.validate()?;
     let prepared = charlie_prefetch::apply(exp.strategy, &raw, cfg.geometry);
-    let sim_cfg = SimConfig {
-        geometry: cfg.geometry,
-        wall_limit_ms: cfg.wall_limit_ms,
-        hw_prefetch: cfg.hw_prefetch,
-        ..SimConfig::paper(cfg.procs, exp.transfer_cycles)
-    };
-    Ok((sim_cfg, prepared))
+    Ok((crate::lab::sim_config(cfg, exp), prepared))
 }
 
 /// Smoke check: the exact path reproduces a plain simulation (used by the
@@ -923,6 +911,23 @@ mod tests {
         assert_eq!(report.cycles, summary.est_cycles);
         assert!(summary.est_cycles > 0);
         assert!(summary.est_bus_busy <= summary.est_cycles);
+    }
+
+    /// The exact reference simulates the lab's machine, protocol included:
+    /// under MOESI it must match `Lab::run` cell for cell rather than
+    /// silently simulate the Illinois default.
+    #[test]
+    fn exact_reference_matches_lab_under_moesi() {
+        let cfg = RunConfig {
+            refs_per_proc: 3_000,
+            procs: 4,
+            protocol: charlie_sim::Protocol::Moesi,
+            ..RunConfig::default()
+        };
+        let exp = Experiment::paper(Workload::Water, Strategy::Pref, 8);
+        let exact = exact_reference(&cfg, exp).unwrap();
+        let lab = crate::Lab::new(cfg).run(exp).report.clone();
+        assert_eq!(exact, lab);
     }
 
     #[test]

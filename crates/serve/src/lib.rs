@@ -6,8 +6,10 @@
 //! across a persistent worker pool, and streams each completed
 //! [`RunSummary`] back incrementally. Every campaign is backed by a
 //! config-keyed CRC-framed checkpoint journal, so a SIGKILL'd daemon
-//! resumes exactly-once per cell on restart, and a request-level memo
-//! cache coalesces concurrent duplicates down to one simulation.
+//! resumes exactly-once per cell on restart. That journal is also the
+//! campaign's own memo: a resubmit replays what it journaled without
+//! simulating. A small shared memo cache adds cross-campaign reuse and
+//! coalesces concurrent duplicates down to one simulation.
 //!
 //! The wire format for results is deliberately the *journal* format
 //! ([`charlie::checkpoint::encode_summary`]): the bytes a client decodes
@@ -39,7 +41,8 @@
 //! The HTTP shim maps `GET /stats` and `POST /submit` onto the same
 //! handlers; a shed campaign answers `429` with a `Retry-After` header.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -52,7 +55,9 @@ use charlie::parallel::Pool;
 use charlie::prefetch::HwPrefetchConfig;
 use charlie::retry::RetryPolicy;
 use charlie::wire::{self, Json};
-use charlie::{execute_cell, experiments, Experiment, Protocol, RunConfig, RunError, RunSummary};
+use charlie::{
+    execute_cell, experiments, BusConfig, Experiment, Protocol, RunConfig, RunError, RunSummary,
+};
 
 pub mod client;
 pub mod worker;
@@ -75,11 +80,6 @@ pub const RETRY_AFTER_MS: u64 = 1000;
 /// starve every other campaign. The paper's own grid tops out around
 /// 160k refs per proc; 10M leaves two orders of magnitude of headroom.
 pub const MAX_REFS_PER_PROC: usize = 10_000_000;
-
-/// Largest transfer latency a submitted cell may carry — same rationale
-/// as [`MAX_REFS_PER_PROC`]: simulated time per cell must stay bounded.
-/// The paper sweeps 8..=100 cycles.
-pub const MAX_TRANSFER_CYCLES: u64 = 100_000;
 
 /// The error message queued-but-unstarted cells complete with during a
 /// drain; the campaign handler recognizes it and answers a `draining`
@@ -105,6 +105,50 @@ pub(crate) fn install_sigterm_handler() {
 
 #[cfg(not(unix))]
 pub(crate) fn install_sigterm_handler() {}
+
+/// Longest the accept loop waits for a connection before it re-checks the
+/// drain latch: how promptly an idle daemon notices SIGTERM or `shutdown`.
+const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// Blocks until `listener` has a connection to accept or `timeout` passes.
+/// A signal cutting the wait short is not an error: the caller re-checks
+/// the drain latch either way.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) -> io::Result<()> {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut pfd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    // SAFETY: `pfd` is one valid, exclusively borrowed `struct pollfd`
+    // for the whole call, matching `nfds = 1`; the fd stays open because
+    // `listener` is borrowed.
+    if unsafe { poll(&mut pfd, 1, timeout_ms) } < 0 {
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+    Ok(())
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) -> io::Result<()> {
+    std::thread::sleep(timeout);
+    Ok(())
+}
 
 /// Daemon configuration, defaulted from the `CHARLIE_SERVE_*` environment.
 #[derive(Clone, Debug)]
@@ -180,12 +224,16 @@ enum Claim {
     Wait(Arc<CellEntry>),
 }
 
-/// Completed cells the memo cache retains before evicting the least
+/// Completed cells the shared memo cache retains before evicting the least
 /// recently used — bounds an always-on daemon's memory instead of growing
-/// one entry per distinct cell forever. Generously above the per-request
-/// cell budget, so a full paper sweep resubmitted back-to-back still hits
-/// on every cell.
-const MEMO_CACHE_CAP: usize = 8192;
+/// one entry per distinct cell forever. A resubmitted campaign does not
+/// need it (its own journal answers, see [`Campaign::present`]); the cache
+/// serves cells that *different* campaigns share. 512 cells (~1 MB at
+/// ~1.9 KB per summary) hold three users' passes over the paper's
+/// exhibits, taken in turn, as well as an unbounded cache would
+/// (`exhibit_sweeps_within_the_cap_hit_as_if_unbounded`); DESIGN.md §16
+/// measures where that stops holding and why the cap is not larger.
+const MEMO_CACHE_CAP: usize = 512;
 
 struct CacheInner {
     /// Completed cells, stamped with the tick of their last use.
@@ -275,15 +323,6 @@ impl MemoCache {
         }
     }
 
-    /// Seeds a journal-restored cell; a cell someone is already re-running
-    /// keeps the in-flight claim (the restore is then just redundant).
-    fn insert_done(&self, key: CellKey, summary: Arc<RunSummary>) {
-        let mut inner = self.inner.lock().unwrap();
-        if !inner.done.contains_key(&key) {
-            inner.store(self.cap, key, summary);
-        }
-    }
-
     /// Blocks until the entry resolves, or `None` at the deadline. The
     /// simulation itself is *not* cancelled — it finishes into the cache
     /// for every other (and future) campaign.
@@ -310,23 +349,36 @@ impl MemoCache {
         }
     }
 
+    /// Seeds a journal-restored cell; a cell someone is already re-running
+    /// keeps the in-flight claim (the restore is then just redundant).
+    fn insert_done(&self, key: CellKey, summary: Arc<RunSummary>) {
+        let mut inner = self.inner.lock().unwrap();
+        if !inner.done.contains_key(&key) {
+            inner.store(self.cap, key, summary);
+        }
+    }
+
     fn entries(&self) -> usize {
         self.inner.lock().unwrap().done.len()
     }
 }
 
-/// One campaign's durable state: its journal plus the set of cells already
+/// One campaign's durable state: its journal plus every cell already
 /// journaled (exactly-once: restored at open, extended on first write).
+/// The map doubles as the campaign's own memo — a resubmit answers from
+/// it before consulting the shared cache — and lives only as long as the
+/// campaign's registry entry.
 struct Campaign {
     journal: Journal,
-    present: HashSet<Experiment>,
+    present: HashMap<Experiment, Arc<RunSummary>>,
 }
 
 impl Campaign {
     /// Appends `summary` unless this campaign already holds that cell.
-    fn journal_once(&mut self, summary: &RunSummary) {
-        if self.present.insert(summary.experiment) {
+    fn journal_once(&mut self, summary: &Arc<RunSummary>) {
+        if let Entry::Vacant(slot) = self.present.entry(summary.experiment) {
             self.journal.append(summary);
+            slot.insert(Arc::clone(summary));
         }
     }
 }
@@ -353,8 +405,9 @@ struct ServerState {
     stats: Stats,
     /// Campaigns currently admitted (bounded by `cfg.queue`).
     active: AtomicUsize,
-    /// Live connection-handler threads (drain waits for zero).
-    conns: AtomicUsize,
+    /// Live connection-handler threads; the drain waits on the condvar
+    /// for zero.
+    conns: (Mutex<usize>, Condvar),
     /// Local drain latch (the `shutdown` command); ORed with the SIGTERM
     /// static so in-process test servers can drain independently.
     drain: AtomicBool,
@@ -425,7 +478,7 @@ impl Server {
             registry: Mutex::new(HashMap::new()),
             stats: Stats::default(),
             active: AtomicUsize::new(0),
-            conns: AtomicUsize::new(0),
+            conns: (Mutex::new(0), Condvar::new()),
             drain: AtomicBool::new(false),
             started: Instant::now(),
             hold: (Mutex::new(false), Condvar::new()),
@@ -444,21 +497,24 @@ impl Server {
     /// at which point all accepted cells are journaled or answered.
     pub fn run(&self) -> io::Result<()> {
         install_sigterm_handler();
+        // Non-blocking so a wakeup whose connection vanished before
+        // `accept` cannot wedge the loop past a drain.
         self.listener.set_nonblocking(true)?;
         while !self.state.draining() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let state = Arc::clone(&self.state);
-                    state.conns.fetch_add(1, Ordering::SeqCst);
+                    *state.conns.0.lock().unwrap() += 1;
                     std::thread::spawn(move || {
                         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             handle_connection(&state, stream);
                         }));
-                        state.conns.fetch_sub(1, Ordering::SeqCst);
+                        *state.conns.0.lock().unwrap() -= 1;
+                        state.conns.1.notify_all();
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
+                    wait_for_connection(&self.listener, ACCEPT_POLL)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -466,9 +522,8 @@ impl Server {
         // Drain: no new connections; wait for in-flight campaigns to
         // stream their `draining`/`done` frames. Queued cells short-circuit
         // (the pool jobs see the flag), in-flight cells finish and journal.
-        while self.state.conns.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let (conns, idle) = &self.state.conns;
+        drop(idle.wait_while(conns.lock().unwrap(), |live| *live > 0).unwrap());
         Ok(())
     }
 
@@ -859,10 +914,15 @@ pub(crate) fn decode_submit(default_deadline_ms: u64, v: &Json) -> Result<Submit
     if cells.is_empty() {
         return Err("empty cell grid".into());
     }
-    if let Some(exp) = cells.iter().find(|e| e.transfer_cycles > MAX_TRANSFER_CYCLES) {
+    // A transfer the bus cannot build would panic a pool worker; answer
+    // `bad_request` here instead.
+    if let Some(exp) =
+        cells.iter().find(|e| !BusConfig::TRANSFER_RANGE.contains(&e.transfer_cycles))
+    {
         return Err(format!(
-            "transfer {} exceeds the server ceiling {MAX_TRANSFER_CYCLES}",
-            exp.transfer_cycles
+            "transfer {} out of range {:?}",
+            exp.transfer_cycles,
+            BusConfig::TRANSFER_RANGE
         ));
     }
     Ok(SubmitSpec { cells, cfg, deadline_ms })
@@ -949,34 +1009,55 @@ pub(crate) fn campaign_key(cfg: &RunConfig, cells: &[Experiment]) -> (String, St
     (key, token)
 }
 
-/// One request's handle on a registry campaign. Dropping the lease evicts
-/// the registry entry once no other request or in-flight pool job still
-/// references it, closing the journal's fd — an always-on daemon must not
-/// pin one open file per campaign it ever served. The on-disk journal
-/// survives eviction; a resubmit reopens and restores it.
+/// A request's or a pool job's handle on a registry campaign. Dropping the
+/// last lease evicts the registry entry, closing the journal's fd and
+/// freeing the campaign's memo — an always-on daemon must not pin one open
+/// file (or one summary map) per campaign it ever served. The on-disk
+/// journal survives eviction; a resubmit reopens and restores it.
 struct CampaignLease {
     state: Arc<ServerState>,
     token: String,
-    campaign: Arc<Mutex<Campaign>>,
+    /// `None` only inside `drop`, which releases it under the registry lock.
+    campaign: Option<Arc<Mutex<Campaign>>>,
+}
+
+impl CampaignLease {
+    fn campaign(&self) -> &Mutex<Campaign> {
+        self.campaign.as_ref().expect("a live lease holds its campaign")
+    }
+}
+
+impl Clone for CampaignLease {
+    fn clone(&self) -> CampaignLease {
+        CampaignLease {
+            state: Arc::clone(&self.state),
+            token: self.token.clone(),
+            campaign: self.campaign.clone(),
+        }
+    }
 }
 
 impl Drop for CampaignLease {
     fn drop(&mut self) {
         let mut registry = self.state.registry.lock().unwrap();
-        if let Some(entry) = registry.get(&self.token) {
-            // Exactly two strong refs — the registry's and this lease's —
-            // means no other handler or cell job can still append; holding
-            // the registry lock keeps a new clone from appearing.
-            if Arc::ptr_eq(entry, &self.campaign) && Arc::strong_count(entry) == 2 {
-                registry.remove(&self.token);
-            }
+        let Some(mine) = self.campaign.take() else { return };
+        // Every reference besides the registry's is a lease, and each
+        // lease lets go of it under this lock, so exactly two strong refs
+        // (the registry's and this one) mean this is the last lease: of
+        // several dropping at once, exactly one sees it.
+        if registry
+            .get(&self.token)
+            .is_some_and(|entry| Arc::ptr_eq(entry, &mine) && Arc::strong_count(entry) == 2)
+        {
+            registry.remove(&self.token);
         }
+        drop(mine);
     }
 }
 
-/// Opens (or rejoins) the campaign's journal, seeding the memo cache with
-/// every restored cell. Returns the campaign lease and how many cells it
-/// already holds.
+/// Opens (or rejoins) the campaign's journal. Every restored cell lands in
+/// the campaign's own memo and seeds the shared cache for other campaigns.
+/// Returns the campaign lease and how many cells it already holds.
 fn open_campaign(
     state: &Arc<ServerState>,
     token: &str,
@@ -986,14 +1067,9 @@ fn open_campaign(
     let lease = |campaign: &Arc<Mutex<Campaign>>| CampaignLease {
         state: Arc::clone(state),
         token: token.to_owned(),
-        campaign: Arc::clone(campaign),
+        campaign: Some(Arc::clone(campaign)),
     };
     let mut registry = state.registry.lock().unwrap();
-    // Sweep stragglers: a handler that returned early (deadline, vanished
-    // client) cannot evict while its cell jobs still hold the campaign;
-    // once those finish, the entry sits at one strong ref until collected
-    // here. Re-opening from disk reproduces anything swept too eagerly.
-    registry.retain(|_, entry| Arc::strong_count(entry) > 1);
     if let Some(campaign) = registry.get(token) {
         let present = campaign.lock().unwrap().present.len();
         return Ok((lease(campaign), present));
@@ -1007,11 +1083,12 @@ fn open_campaign(
     let path = state.cfg.state_dir.join(format!("{token}.ckpt"));
     let opts = JournalOptions { config: Some(key.to_owned()), sync: false };
     let (journal, restored) = Journal::open_with(&path, opts)?;
-    let mut present = HashSet::new();
     let restored_count = restored.len();
+    let mut present = HashMap::with_capacity(restored_count);
     for summary in restored {
-        present.insert(summary.experiment);
-        state.cache.insert_done((*cell_cfg, summary.experiment), Arc::new(summary));
+        let summary = Arc::new(summary);
+        state.cache.insert_done((*cell_cfg, summary.experiment), Arc::clone(&summary));
+        present.insert(summary.experiment, summary);
     }
     state.stats.cells_restored.fetch_add(restored_count as u64, Ordering::Relaxed);
     let campaign = Arc::new(Mutex::new(Campaign { journal, present }));
@@ -1091,7 +1168,7 @@ fn handle_submit(state: &Arc<ServerState>, request: &Json, resp: &mut Responder)
             return;
         }
     };
-    let campaign = &lease.campaign;
+    let campaign = lease.campaign();
 
     let total = spec.cells.len();
     if resp
@@ -1104,16 +1181,33 @@ fn handle_submit(state: &Arc<ServerState>, request: &Json, resp: &mut Responder)
     }
 
     // Claim every cell up front: duplicates coalesce immediately and the
-    // pool runs misses in parallel while we stream in request order.
-    let claims: Vec<(Experiment, Claim)> =
-        spec.cells.iter().map(|&exp| (exp, state.cache.claim((cell_cfg, exp)))).collect();
+    // pool runs misses in parallel while we stream in request order. The
+    // campaign's own journal answers first (counted as cache hits), so a
+    // resubmit of any size re-simulates nothing however small the shared
+    // cache is.
+    let claims: Vec<(Experiment, Claim)> = {
+        let journaled = campaign.lock().unwrap();
+        spec.cells
+            .iter()
+            .map(|&exp| {
+                let claim = match journaled.present.get(&exp) {
+                    Some(sum) => {
+                        state.cache.hits.fetch_add(1, Ordering::Relaxed);
+                        Claim::Hit(Arc::clone(sum))
+                    }
+                    None => state.cache.claim((cell_cfg, exp)),
+                };
+                (exp, claim)
+            })
+            .collect()
+    };
     for (exp, claim) in &claims {
         if let Claim::Run(_) = claim {
             let state = Arc::clone(state);
-            let campaign = Arc::clone(&campaign);
+            let lease = lease.clone();
             let exp = *exp;
             state.clone().pool.submit(move |_worker| {
-                run_cell_job(&state, &campaign, cell_cfg, exp);
+                run_cell_job(&state, lease, cell_cfg, exp);
             });
         }
     }
@@ -1196,39 +1290,38 @@ fn handle_submit(state: &Arc<ServerState>, request: &Json, resp: &mut Responder)
 /// on resume.
 fn run_cell_job(
     state: &Arc<ServerState>,
-    campaign: &Arc<Mutex<Campaign>>,
+    lease: CampaignLease,
     cell_cfg: RunConfig,
     exp: Experiment,
 ) {
-    if state.draining() {
-        state
-            .cache
-            .complete((cell_cfg, exp), Err(RunError::Trace(DRAINING_MSG.to_owned())));
-        return;
-    }
-    let salt = RetryPolicy::salt(&format!("{exp}"));
-    let outcome = RetryPolicy::TRANSIENT_IO.run(salt, RunError::is_transient_io, || {
-        // Panics inside the simulator surface as RunError::Panic through
-        // execute_cell's isolation, so one bad cell degrades only the
-        // campaigns waiting on it.
-        execute_cell(&cell_cfg, exp)
-    });
-    match outcome {
-        Ok(summary) => {
-            state.stats.cells_executed.fetch_add(1, Ordering::Relaxed);
-            let summary = Arc::new(summary);
-            // Journal before publishing: a crash after the cache sees the
-            // cell but before the journal does would re-run it on resume
-            // (wasteful but correct); the reverse order could answer a
-            // client from a cell the journal never got.
-            campaign.lock().unwrap().journal_once(&summary);
-            state.cache.complete((cell_cfg, exp), Ok(summary));
+    let result = if state.draining() {
+        Err(RunError::Trace(DRAINING_MSG.to_owned()))
+    } else {
+        let salt = RetryPolicy::salt(&format!("{exp}"));
+        let outcome = RetryPolicy::TRANSIENT_IO.run(salt, RunError::is_transient_io, || {
+            // Panics inside the simulator surface as RunError::Panic through
+            // execute_cell's isolation, so one bad cell degrades only the
+            // campaigns waiting on it.
+            execute_cell(&cell_cfg, exp)
+        });
+        match outcome {
+            Ok(summary) => {
+                state.stats.cells_executed.fetch_add(1, Ordering::Relaxed);
+                let summary = Arc::new(summary);
+                // Journal before publishing: a crash after the cache sees
+                // the cell but before the journal does would re-run it on
+                // resume (wasteful but correct); the reverse order could
+                // answer a client from a cell the journal never got.
+                lease.campaign().lock().unwrap().journal_once(&summary);
+                Ok(summary)
+            }
+            Err(err) => {
+                state.stats.cells_failed.fetch_add(1, Ordering::Relaxed);
+                Err(err)
+            }
         }
-        Err(err) => {
-            state.stats.cells_failed.fetch_add(1, Ordering::Relaxed);
-            state.cache.complete((cell_cfg, exp), Err(err));
-        }
-    }
+    };
+    state.cache.complete((cell_cfg, exp), result);
 }
 
 #[cfg(test)]
@@ -1276,6 +1369,59 @@ mod tests {
         assert_eq!(cache.entries(), 2, "cap bounds the cache");
         assert!(matches!(cache.claim((cfg, exps[0])), Claim::Hit(_)), "recently used survives");
         assert!(matches!(cache.claim((cfg, exps[1])), Claim::Run(_)), "LRU entry was evicted");
+    }
+
+    /// Replays the paper's exhibits through a shared cache of `cap` cells,
+    /// one campaign per exhibit per user, `users` users (distinct seeds, so
+    /// no cell is shared between users) taking turns exhibit by exhibit.
+    /// Returns `(hits, misses)`.
+    fn exhibit_sweeps(cap: usize, users: u64, summary: &Arc<RunSummary>) -> (u64, u64) {
+        let cache = MemoCache::new(cap);
+        for exhibit in EXHIBITS {
+            for user in 0..users {
+                let cfg = cell_config(&RunConfig { seed: user, ..tiny_cfg() });
+                let claims: Vec<(Experiment, Claim)> = experiments::grid_for(exhibit)
+                    .into_iter()
+                    .map(|exp| (exp, cache.claim((cfg, exp))))
+                    .collect();
+                for (exp, claim) in claims {
+                    if let Claim::Run(_) = claim {
+                        cache.complete((cfg, exp), Ok(Arc::clone(summary)));
+                    }
+                }
+            }
+        }
+        (cache.hits.load(Ordering::Relaxed), cache.misses.load(Ordering::Relaxed))
+    }
+
+    /// The exhibits whose cells the paper's evaluation reads, in the order
+    /// `charlie experiments all` prints them, then the two post-paper ones.
+    const EXHIBITS: [&str; 10] = [
+        "figure1",
+        "table2",
+        "figure2",
+        "figure3",
+        "table3",
+        "table4",
+        "table5",
+        "proc-util",
+        "hw-prefetch",
+        "protocols",
+    ];
+
+    /// The shared cache's sizing (see [`MEMO_CACHE_CAP`]): up to three
+    /// users taking turns over the exhibits hit as often as with a cache
+    /// that never evicts.
+    #[test]
+    fn exhibit_sweeps_within_the_cap_hit_as_if_unbounded() {
+        let cfg = cell_config(&tiny_cfg());
+        let exp = Experiment::paper(Workload::Water, Strategy::NoPrefetch, 8);
+        let summary = Arc::new(execute_cell(&cfg, exp).unwrap());
+        for users in 1..=3 {
+            let unbounded = exhibit_sweeps(usize::MAX, users, &summary);
+            assert!(unbounded.0 > 0, "exhibits share cells");
+            assert_eq!(exhibit_sweeps(MEMO_CACHE_CAP, users, &summary), unbounded);
+        }
     }
 
     #[test]
@@ -1358,6 +1504,10 @@ mod tests {
             "{\"cmd\":\"submit\",\"grid\":\"paper\",\"refs\":99999999999}",
             "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"Water\",\"strategy\":\"PREF\",\
              \"transfer\":9999999,\"layout\":\"interleaved\"}]}",
+            "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"Water\",\"strategy\":\"PREF\",\
+             \"transfer\":101,\"layout\":\"interleaved\"}]}",
+            "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"Water\",\"strategy\":\"PREF\",\
+             \"transfer\":0,\"layout\":\"interleaved\"}]}",
             "{\"cmd\":\"submit\",\"grid\":\"paper\",\"sampling\":{\"mode\":\"census\"}}",
             "{\"cmd\":\"submit\",\"grid\":\"paper\",\
              \"sampling\":{\"mode\":\"smarts\",\"period\":0}}",
@@ -1382,15 +1532,13 @@ mod tests {
         assert_ne!(tok_exact, tok_smp);
     }
 
-    /// Full in-process round trip: bind on port 0, submit a two-cell
-    /// campaign twice, verify identical summaries and that the second pass
-    /// is all cache hits; then drain.
-    #[test]
-    fn end_to_end_submit_and_coalesce() {
+    /// An in-process daemon on port 0 over a fresh state dir named `name`,
+    /// plus the thread running its accept loop.
+    fn start_server(name: &str) -> (Arc<Server>, String, std::thread::JoinHandle<()>, PathBuf) {
         let dir = std::env::temp_dir().join(format!(
-            "charlie-serve-e2e-{}-{:x}",
+            "charlie-serve-{name}-{}-{:x}",
             std::process::id(),
-            RetryPolicy::salt("e2e")
+            RetryPolicy::salt(name)
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ServeConfig {
@@ -1401,20 +1549,18 @@ mod tests {
             jobs: 2,
             state_dir: dir.clone(),
         };
-        let server = Server::bind(cfg).unwrap();
+        let server = Arc::new(Server::bind(cfg).unwrap());
         let addr = server.local_addr().unwrap().to_string();
-        let server = Arc::new(server);
         let runner = {
             let server = Arc::clone(&server);
             std::thread::spawn(move || server.run().unwrap())
         };
+        (server, addr, runner, dir)
+    }
 
-        let cells = vec![
-            Experiment::paper(Workload::Water, Strategy::NoPrefetch, 8),
-            Experiment::paper(Workload::Water, Strategy::Pref, 8),
-        ];
-        let req = client::SubmitRequest {
-            grid: client::Grid::Cells(cells.clone()),
+    fn tiny_request(cells: Vec<Experiment>) -> client::SubmitRequest {
+        client::SubmitRequest {
+            grid: client::Grid::Cells(cells),
             procs: Some(2),
             refs: Some(600),
             seed: None,
@@ -1422,18 +1568,118 @@ mod tests {
             hw_prefetch: None,
             protocol: None,
             sampling: None,
+        }
+    }
+
+    fn cells_of(frames: &[client::Frame]) -> Vec<RunSummary> {
+        frames
+            .iter()
+            .filter_map(|f| match f {
+                client::Frame::Cell(sum) => Some(sum.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `(cache.hits, cache.misses, cells.executed)` from the stats reply.
+    fn memo_counters(addr: &str) -> (u64, u64, u64) {
+        let v = wire::parse(&client::stats(addr).unwrap()).unwrap();
+        let num = |section: &str, field: &str| {
+            v.field(section).unwrap().field(field).unwrap().num().unwrap()
         };
+        (num("cache", "hits"), num("cache", "misses"), num("cells", "executed"))
+    }
+
+    /// The accept loop wakes on a connection instead of sleeping between
+    /// polls: back-to-back pings cost no poll interval each, and a drain
+    /// with no client connected ends `run` within one poll timeout.
+    #[test]
+    fn idle_daemon_accepts_and_drains_promptly() {
+        let (server, addr, runner, dir) = start_server("accept");
+        const PINGS: u32 = 100;
+        let pings = Instant::now();
+        for _ in 0..PINGS {
+            client::ping(&addr).unwrap();
+        }
+        let pings = pings.elapsed();
+        // A loop that sleeps a poll interval per connection takes about
+        // PINGS × ACCEPT_POLL; half of that leaves room for a loaded host.
+        assert!(pings < PINGS * ACCEPT_POLL / 2, "{PINGS} pings took {pings:?}");
+
+        let drain = Instant::now();
+        server.request_drain();
+        runner.join().unwrap();
+        let drain = drain.elapsed();
+        assert!(drain < Duration::from_secs(1), "drain took {drain:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A campaign's journal is its own memo: resubmitting a completed
+    /// campaign larger than the shared cache re-simulates nothing and
+    /// counts every cell as a hit, while a different campaign sharing cells
+    /// with a recent one still hits on them through the shared cache.
+    #[test]
+    fn resubmit_beyond_cache_cap_replays_its_journal() {
+        let (_server, addr, runner, dir) = start_server("journal-memo");
+        // Distinct tiny cells: every legal transfer latency under each
+        // strategy, on both layouts, cut just past the cache's capacity.
+        let big: Vec<Experiment> = Strategy::ALL
+            .iter()
+            .flat_map(|&st| BusConfig::TRANSFER_RANGE.map(move |t| (st, t)))
+            .flat_map(|(st, t)| {
+                let exp = Experiment::paper(Workload::Water, st, t);
+                [exp, exp.restructured()]
+            })
+            .take(MEMO_CACHE_CAP + 40)
+            .collect();
+        let first = cells_of(&client::submit(&addr, &tiny_request(big.clone())).unwrap());
+        assert_eq!(first.len(), big.len());
+        let (hits, misses, executed) = memo_counters(&addr);
+        assert_eq!((misses, executed), (big.len() as u64, big.len() as u64));
+
+        let again = cells_of(&client::submit(&addr, &tiny_request(big.clone())).unwrap());
+        assert_eq!(again, first, "the resubmit replays identical summaries");
+        assert_eq!(
+            memo_counters(&addr),
+            (hits + big.len() as u64, misses, executed),
+            "a resubmit is all hits, no misses, nothing executed"
+        );
+        let v = wire::parse(&client::stats(&addr).unwrap()).unwrap();
+        let entries = v.field("cache").unwrap().field("entries").unwrap().num().unwrap();
+        assert!(entries <= MEMO_CACHE_CAP as u64, "{entries} cached cells");
+
+        // Cross-campaign reuse: a new grid sharing two cells with a recent
+        // campaign simulates only its third.
+        let recent = vec![
+            Experiment::paper(Workload::Mp3d, Strategy::NoPrefetch, 8),
+            Experiment::paper(Workload::Mp3d, Strategy::Pref, 8),
+        ];
+        client::submit(&addr, &tiny_request(recent.clone())).unwrap();
+        let (hits, misses, executed) = memo_counters(&addr);
+        let mut overlap = recent;
+        overlap.push(Experiment::paper(Workload::Mp3d, Strategy::Pws, 8));
+        let frames = client::submit(&addr, &tiny_request(overlap)).unwrap();
+        assert_eq!(cells_of(&frames).len(), 3);
+        assert_eq!(memo_counters(&addr), (hits + 2, misses + 1, executed + 1));
+
+        client::shutdown(&addr).unwrap();
+        runner.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Full in-process round trip: bind on port 0, submit a two-cell
+    /// campaign twice, verify identical summaries and that the second pass
+    /// is all cache hits; then drain.
+    #[test]
+    fn end_to_end_submit_and_coalesce() {
+        let (server, addr, runner, dir) = start_server("e2e");
+        let cells = vec![
+            Experiment::paper(Workload::Water, Strategy::NoPrefetch, 8),
+            Experiment::paper(Workload::Water, Strategy::Pref, 8),
+        ];
+        let req = tiny_request(cells);
         let first = client::submit(&addr, &req).unwrap();
         let second = client::submit(&addr, &req).unwrap();
-        let cells_of = |frames: &[client::Frame]| -> Vec<RunSummary> {
-            frames
-                .iter()
-                .filter_map(|f| match f {
-                    client::Frame::Cell(sum) => Some(sum.clone()),
-                    _ => None,
-                })
-                .collect()
-        };
         let (a, b) = (cells_of(&first), cells_of(&second));
         assert_eq!(a.len(), 2);
         assert_eq!(a, b, "second submit replays identical summaries");
