@@ -67,6 +67,13 @@ echo "== shared-journal tail equivalence (release, 300 cases) =="
 # folds at every byte prefix; release builds run 300 random journals.
 cargo test -q --release -p charlie --test tail_props
 
+echo "== prefetch planner equivalence (release, 512 cases) =="
+# DESIGN.md §4: the planner must reproduce the reference per-event
+# placement model, and the stream the simulator merges at its cursor must
+# equal the materialized trace, for every strategy and distance; release
+# builds run 512 random traces.
+cargo test -q --release -p charlie --test prefetch_props
+
 echo "== benches compile =="
 cargo bench --no-run -q
 
@@ -75,6 +82,28 @@ echo "== perfbench builds and passes its own tests =="
 # serve and core APIs; building it here turns an API change that breaks the
 # benchmark into a CI failure rather than a failed benchmark run.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench grids reproduce their reference checksums =="
+# A short run of each grid workload checks its warm-up outputs against
+# perfbench/reference.json: the streamed prefetch plans are pinned under
+# exact Illinois (exact_grid) and under MOESI + stride hardware prefetch +
+# SMARTS sampling (sampled_grid). The run must exit 0 and report
+# "correct": true.
+for workload in exact_grid sampled_grid; do
+    if ! bench_out=$(env GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 \
+        cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0); then
+        echo "FAIL: perfbench $workload exited nonzero:" >&2
+        echo "$bench_out" >&2
+        exit 1
+    fi
+    if ! tail -1 <<<"$bench_out" | grep -q '^{"correct": true,'; then
+        echo "FAIL: perfbench $workload outputs differ from perfbench/reference.json:" >&2
+        echo "$bench_out" >&2
+        exit 1
+    fi
+    echo "perfbench $workload: correct"
+done
 
 echo "== quick-bench smoke vs checked-in baseline =="
 # Fails if events/sec drops more than 20% below BENCH_charlie.json's

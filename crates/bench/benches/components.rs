@@ -4,7 +4,7 @@
 use charlie::bus::{Bus, BusConfig, Priority};
 use charlie::cache::protocol::BusOp;
 use charlie::cache::{CacheArray, CacheGeometry, FilterCache, LineState};
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{Strategy, TraceMarks};
 use charlie::trace::{Addr, ProcId};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -90,8 +90,11 @@ fn bench_generation_and_insertion(c: &mut Criterion) {
         b.iter(|| black_box(generate(Workload::Mp3d, &cfg)))
     });
     let trace = generate(Workload::Mp3d, &cfg);
-    group.bench_function("insert_pws_mp3d", |b| {
-        b.iter(|| black_box(apply(Strategy::Pws, &trace, CacheGeometry::paper_default())))
+    group.bench_function("plan_pws_mp3d", |b| {
+        b.iter(|| {
+            let marks = TraceMarks::new(&trace, CacheGeometry::paper_default());
+            black_box(marks.plan(&trace, Strategy::Pws))
+        })
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 //! binaries.)
 
 use charlie::cache::CacheGeometry;
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, SimConfig};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -28,11 +28,13 @@ fn bench_prefetched_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulate_pws");
     for w in [Workload::Mp3d, Workload::Pverify] {
         let cfg = WorkloadConfig { refs_per_proc: 10_000, ..WorkloadConfig::default() };
-        let trace = apply(Strategy::Pws, &generate(w, &cfg), CacheGeometry::paper_default());
+        let raw = generate(w, &cfg);
+        let plan = TraceMarks::new(&raw, CacheGeometry::paper_default()).plan(&raw, Strategy::Pws);
+        let trace = PreparedTrace::new(&raw, &plan);
         let sim_cfg = SimConfig::paper(cfg.procs, 8);
-        group.throughput(Throughput::Elements(trace.total_accesses() as u64));
+        group.throughput(Throughput::Elements(raw.total_accesses() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(w.name()), &trace, |b, t| {
-            b.iter(|| simulate(&sim_cfg, t).expect("simulates"))
+            b.iter(|| simulate(&sim_cfg, *t).expect("simulates"))
         });
     }
     group.finish();

@@ -8,7 +8,7 @@
 
 use charlie::cache::CacheGeometry;
 use charlie::parallel;
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, SimConfig};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 use charlie::{Lab, Table};
@@ -32,12 +32,13 @@ fn main() {
         ..WorkloadConfig::default()
     };
     let raw = generate(Workload::Mp3d, &wcfg);
-    let prepared = apply(Strategy::Pws, &raw, CacheGeometry::paper_default());
+    let plan = TraceMarks::new(&raw, CacheGeometry::paper_default()).plan(&raw, Strategy::Pws);
+    let prepared = PreparedTrace::new(&raw, &plan);
     let base = SimConfig::paper(cfg.procs, 8);
     let np = simulate(&base, &raw).expect("NP simulates").cycles as f64;
     let reports = parallel::map(&DEPTHS, jobs, |_, &depth| {
         let sim_cfg = SimConfig { prefetch_buffer_depth: depth, ..base };
-        simulate(&sim_cfg, &prepared).expect("simulates")
+        simulate(&sim_cfg, prepared).expect("simulates")
     });
     for (&depth, r) in DEPTHS.iter().zip(&reports) {
         t.row(vec![

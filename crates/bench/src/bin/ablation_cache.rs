@@ -10,7 +10,7 @@
 //! [`charlie::parallel::map`] (`CHARLIE_JOBS` workers).
 
 use charlie::cache::CacheGeometry;
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, SimConfig};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 use charlie::{parallel, Experiment, Lab, RunConfig, Table};
@@ -63,14 +63,15 @@ fn main() {
         ..WorkloadConfig::default()
     };
     let raw = generate(Workload::Topopt, &wcfg);
-    let prepared = apply(Strategy::Pref, &raw, CacheGeometry::paper_default());
+    let plan = TraceMarks::new(&raw, CacheGeometry::paper_default()).plan(&raw, Strategy::Pref);
+    let prepared = PreparedTrace::new(&raw, &plan);
     let victim_rows = parallel::map(&VICTIM_ENTRIES, jobs, |_, &entries| {
         let sim_cfg = SimConfig {
             victim_entries: entries,
             ..SimConfig::paper(base_cfg.procs, 8)
         };
         let np = simulate(&sim_cfg, &raw).expect("NP simulates");
-        let r = simulate(&sim_cfg, &prepared).expect("simulates");
+        let r = simulate(&sim_cfg, prepared).expect("simulates");
         (np, r)
     });
     for (&entries, (np, r)) in VICTIM_ENTRIES.iter().zip(&victim_rows) {

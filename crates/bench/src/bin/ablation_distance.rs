@@ -10,7 +10,7 @@
 
 use charlie::cache::CacheGeometry;
 use charlie::parallel;
-use charlie::prefetch::{apply_with_distance, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, SimConfig};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 use charlie::{Lab, Table};
@@ -37,10 +37,10 @@ fn main() {
         let raw = generate(w, &wcfg);
         let sim_cfg = SimConfig::paper(cfg.procs, 8);
         let np = simulate(&sim_cfg, &raw).expect("NP simulates");
+        let marks = TraceMarks::new(&raw, CacheGeometry::paper_default());
         let reports = parallel::map(&DISTANCES, jobs, |_, &distance| {
-            let prepared =
-                apply_with_distance(Strategy::Pref, &raw, CacheGeometry::paper_default(), distance);
-            simulate(&sim_cfg, &prepared).expect("simulates")
+            let plan = marks.plan_with_distance(&raw, Strategy::Pref, distance);
+            simulate(&sim_cfg, PreparedTrace::new(&raw, &plan)).expect("simulates")
         });
         for (&distance, r) in DISTANCES.iter().zip(&reports) {
             let d = r.demand_accesses().max(1) as f64;

@@ -9,7 +9,7 @@
 
 use charlie::cache::CacheGeometry;
 use charlie::parallel;
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, SimConfig};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 use charlie::{Lab, Table};
@@ -34,15 +34,16 @@ fn main() {
             ..WorkloadConfig::default()
         };
         let raw = generate(w, &wcfg);
-        let prepared = apply(Strategy::Pws, &raw, CacheGeometry::paper_default());
+        let plan = TraceMarks::new(&raw, CacheGeometry::paper_default()).plan(&raw, Strategy::Pws);
+        let prepared = PreparedTrace::new(&raw, &plan);
         // Three independent simulations per latency: NP baseline, paper
         // arbitration, flat arbitration.
         let rows = parallel::map(&LATENCIES, jobs, |_, &lat| {
             let base = SimConfig::paper(cfg.procs, lat);
             let np = simulate(&base, &raw).expect("NP simulates").cycles as f64;
-            let paper_arb = simulate(&base, &prepared).expect("simulates").cycles as f64;
+            let paper_arb = simulate(&base, prepared).expect("simulates").cycles as f64;
             let flat = SimConfig { prefetch_demand_priority: true, ..base };
-            let flat_arb = simulate(&flat, &prepared).expect("simulates").cycles as f64;
+            let flat_arb = simulate(&flat, prepared).expect("simulates").cycles as f64;
             (paper_arb / np, flat_arb / np)
         });
         for (&lat, &(paper_rel, flat_rel)) in LATENCIES.iter().zip(&rows) {

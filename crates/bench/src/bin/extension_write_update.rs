@@ -10,7 +10,7 @@
 //! exchange as the bus gets slower.
 
 use charlie::cache::CacheGeometry;
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, Protocol, SimConfig};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 use charlie::Table;
@@ -40,9 +40,10 @@ fn main() {
             ..WorkloadConfig::default()
         };
         let raw = generate(w, &wcfg);
-        let pref = apply(Strategy::Pref, &raw, CacheGeometry::paper_default());
+        let plan = TraceMarks::new(&raw, CacheGeometry::paper_default()).plan(&raw, Strategy::Pref);
+        let pref = PreparedTrace::new(&raw, &plan);
         for lat in [4u64, 16] {
-            for (name, trace) in [("NP", &raw), ("PREF", &pref)] {
+            for (name, trace) in [("NP", PreparedTrace::from(&raw)), ("PREF", pref)] {
                 let wi_cfg = SimConfig::paper(cfg.procs, lat);
                 let wu_cfg = SimConfig { protocol: Protocol::WriteUpdate, ..wi_cfg };
                 let wi = simulate(&wi_cfg, trace).expect("simulates");

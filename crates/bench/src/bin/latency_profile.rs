@@ -7,7 +7,7 @@
 //! across the latency sweep, making the queueing directly visible.
 
 use charlie::cache::CacheGeometry;
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, SimConfig, LATENCY_BUCKET_BOUNDS};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 use charlie::Table;
@@ -37,10 +37,11 @@ fn main() {
             ..WorkloadConfig::default()
         };
         let raw = generate(w, &wcfg);
-        let pws = apply(Strategy::Pws, &raw, CacheGeometry::paper_default());
+        let plan = TraceMarks::new(&raw, CacheGeometry::paper_default()).plan(&raw, Strategy::Pws);
+        let pws = PreparedTrace::new(&raw, &plan);
         for lat in [4u64, 16, 32] {
             let sim_cfg = SimConfig::paper(cfg.procs, lat);
-            for (name, trace) in [("NP", &raw), ("PWS", &pws)] {
+            for (name, trace) in [("NP", PreparedTrace::from(&raw)), ("PWS", pws)] {
                 let r = simulate(&sim_cfg, trace).expect("simulates");
                 let total = r.fill_latency.count().max(1) as f64;
                 let mut cells = vec![

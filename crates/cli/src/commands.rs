@@ -4,7 +4,7 @@ use crate::args::{Args, ArgsError};
 use crate::json::{report_json, JsonObject};
 use charlie::bus::BusConfig;
 use charlie::cache::CacheGeometry;
-use charlie::prefetch::{apply, HwPrefetchConfig, Strategy};
+use charlie::prefetch::{HwPrefetchConfig, PrefetchPlan, PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{
     simulate_observed, Observability, Protocol, SampleConfig, SimConfig, TraceCategories,
     TraceEmitter,
@@ -69,38 +69,54 @@ pub(crate) struct MachineOpts {
 
 impl MachineOpts {
     pub(crate) fn from_args(args: &Args) -> Result<MachineOpts, ArgsError> {
-        let spec = args.get("protocol").unwrap_or("invalidate");
-        let protocol = Protocol::parse(&spec.to_ascii_lowercase()).ok_or_else(|| {
-            ArgsError(format!("unknown protocol {spec:?} ({})", Protocol::CHOICES))
-        })?;
-        let hw_prefetch = match args.get("hw-prefetch") {
-            None => HwPrefetchConfig::OFF,
-            Some(spec) => HwPrefetchConfig::parse(spec)
-                .map_err(|e| ArgsError(format!("--hw-prefetch: {e}")))?,
-        };
         Ok(MachineOpts {
             transfer: args.get_or("transfer", 8u64)?,
             warmup: args.get_or("warmup", 0u64)?,
             victim: args.get_or("victim", 0usize)?,
-            protocol,
-            hw_prefetch,
+            protocol: protocol_from_args(args)?,
+            hw_prefetch: hw_prefetch_from_args(args)?,
             check: args.switch("check"),
         })
     }
 }
 
-/// Applies the strategy and builds the machine config shared by `run`,
+/// `--protocol` (default: Illinois invalidate).
+fn protocol_from_args(args: &Args) -> Result<Protocol, ArgsError> {
+    let spec = args.get("protocol").unwrap_or("invalidate");
+    Protocol::parse(&spec.to_ascii_lowercase())
+        .ok_or_else(|| ArgsError(format!("unknown protocol {spec:?} ({})", Protocol::CHOICES)))
+}
+
+/// `--hw-prefetch` (default: off).
+fn hw_prefetch_from_args(args: &Args) -> Result<HwPrefetchConfig, ArgsError> {
+    match args.get("hw-prefetch") {
+        None => Ok(HwPrefetchConfig::OFF),
+        Some(spec) => {
+            HwPrefetchConfig::parse(spec).map_err(|e| ArgsError(format!("--hw-prefetch: {e}")))
+        }
+    }
+}
+
+/// Plans the strategy and builds the machine config shared by `run`,
 /// `run-trace` and `profile`.
 pub(crate) fn prepare_cell(
     raw: &Trace,
     strategy: Strategy,
     opts: &MachineOpts,
-) -> Result<(Trace, SimConfig), ArgsError> {
+) -> Result<(PrefetchPlan, SimConfig), ArgsError> {
     let transfer = opts.transfer;
-    if !(1..=100).contains(&transfer) {
-        return Err(ArgsError(format!("--transfer {transfer} outside 1..=100")));
+    if !BusConfig::TRANSFER_RANGE.contains(&transfer) {
+        return Err(ArgsError(format!(
+            "--transfer {transfer} outside {:?}",
+            BusConfig::TRANSFER_RANGE
+        )));
     }
-    let prepared = apply(strategy, raw, CacheGeometry::paper_default());
+    // NP plans nothing, so a file that already holds prefetches runs as is.
+    let plan = if strategy == Strategy::NoPrefetch {
+        PrefetchPlan::default()
+    } else {
+        TraceMarks::new(raw, CacheGeometry::paper_default()).plan(raw, strategy)
+    };
     let sim_cfg = SimConfig {
         warmup_accesses: opts.warmup,
         victim_entries: opts.victim,
@@ -112,7 +128,7 @@ pub(crate) fn prepare_cell(
         max_events: charlie::event_budget(raw.total_accesses() as u64),
         ..SimConfig::paper(raw.num_procs(), transfer)
     };
-    Ok((prepared, sim_cfg))
+    Ok((plan, sim_cfg))
 }
 
 /// `--trace-cats` (default: everything).
@@ -158,11 +174,12 @@ fn simulate_prepared<W: Write>(
     json: bool,
     out: &mut W,
 ) -> Result<(), ArgsError> {
-    let (prepared, sim_cfg) = prepare_cell(raw, strategy, opts)?;
+    let (plan, sim_cfg) = prepare_cell(raw, strategy, opts)?;
+    let prepared = PreparedTrace::new(raw, &plan);
     // The timeline is dropped here on purpose: `run` output must be
     // byte-identical with observation on or off (use `profile` to see it).
     let (report, _timeline) =
-        simulate_observed(&sim_cfg, &prepared, obs).map_err(|e| ArgsError(e.to_string()))?;
+        simulate_observed(&sim_cfg, prepared, obs).map_err(|e| ArgsError(e.to_string()))?;
     let inserted = prepared.total_prefetches() as u64;
     if json {
         let _ = writeln!(out, "{}", report_json(label, &report, inserted));
@@ -262,8 +279,9 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
             ));
         }
         let raw = generate(workload, &cfg);
-        let (prepared, sim_cfg) = prepare_cell(&raw, strategy, &opts)?;
-        let (report, sampled) = charlie::run_sampled_on_prepared(&sim_cfg, &prepared, &scfg)
+        let (plan, sim_cfg) = prepare_cell(&raw, strategy, &opts)?;
+        let prepared = PreparedTrace::new(&raw, &plan);
+        let (report, sampled) = charlie::run_sampled_on_prepared(&sim_cfg, prepared, &scfg)
             .map_err(|e| ArgsError(e.to_string()))?;
         let inserted = prepared.total_prefetches() as u64;
         if args.switch("json") {
@@ -316,9 +334,10 @@ pub fn profile<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
         tracer: tracer_from_args(args)?,
     };
     let raw = generate(workload, &cfg);
-    let (prepared, sim_cfg) = prepare_cell(&raw, strategy, &opts)?;
+    let (plan, sim_cfg) = prepare_cell(&raw, strategy, &opts)?;
+    let prepared = PreparedTrace::new(&raw, &plan);
     let (report, timeline) =
-        simulate_observed(&sim_cfg, &prepared, obs).map_err(|e| ArgsError(e.to_string()))?;
+        simulate_observed(&sim_cfg, prepared, obs).map_err(|e| ArgsError(e.to_string()))?;
     let timeline = timeline
         .ok_or_else(|| ArgsError("profile produced no timeline despite sampling".into()))?;
     let inserted = prepared.total_prefetches() as u64;
@@ -408,10 +427,7 @@ pub fn sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
     ])?;
     let (wcfg, workload) = workload_config(args)?;
     let jobs = parse_jobs(args);
-    let proto_spec = args.get("protocol").unwrap_or("invalidate");
-    let protocol = Protocol::parse(&proto_spec.to_ascii_lowercase()).ok_or_else(|| {
-        ArgsError(format!("unknown protocol {proto_spec:?} ({})", Protocol::CHOICES))
-    })?;
+    let protocol = protocol_from_args(args)?;
     let mut lab = Lab::new(RunConfig {
         procs: wcfg.procs,
         refs_per_proc: wcfg.refs_per_proc,
@@ -512,7 +528,8 @@ pub fn export_trace<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError>
     let path = args.get("out").ok_or_else(|| ArgsError("--out FILE is required".into()))?;
     let strategy = parse_strategy(args.get("strategy").unwrap_or("np"))?;
     let raw = generate(workload, &cfg);
-    let trace = apply(strategy, &raw, CacheGeometry::paper_default());
+    let plan = TraceMarks::new(&raw, CacheGeometry::paper_default()).plan(&raw, strategy);
+    let trace = PreparedTrace::new(&raw, &plan).to_trace();
     // Atomic write (temp + rename, chaos tag `trace`): a killed or faulted
     // export leaves either the old file or the new one, never a torn trace.
     let mut file = chaos::AtomicFile::create(path, "trace")
@@ -710,8 +727,9 @@ pub fn bench<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
 /// path.
 pub fn calibrate<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
     args.expect_known(&[
-        "grid", "refs", "procs", "seed", "jobs", "tolerance", "sample-mode", "sample-window",
-        "sample-period", "sample-warm", "sample-k", "sample-seed", "sample-cold",
+        "grid", "refs", "procs", "seed", "jobs", "tolerance", "protocol", "hw-prefetch",
+        "sample-mode", "sample-window", "sample-period", "sample-warm", "sample-k",
+        "sample-seed", "sample-cold",
     ])?;
     let scfg = sampling_from_args(args)?.unwrap_or_else(SamplingConfig::smarts);
     let grid = match args.get("grid").unwrap_or("quick") {
@@ -725,6 +743,8 @@ pub fn calibrate<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
         procs: args.get_or("procs", 8usize)?,
         refs_per_proc: args.get_or("refs", 160_000usize)?,
         seed: args.get_or("seed", 0xC0FFEEu64)?,
+        protocol: protocol_from_args(args)?,
+        hw_prefetch: hw_prefetch_from_args(args)?,
         ..RunConfig::default()
     };
     let jobs = Lab::resolve_jobs(parse_jobs(args));

@@ -135,6 +135,7 @@ COMMANDS:
                                        149-cell paper grid (default quick)
                    --tolerance PCT     error gate in percent (e.g. 2)
                    [--refs N --procs N --seed N --jobs N --json
+                    --protocol P --hw-prefetch SPEC
                     --sample-mode … --sample-window N --sample-period N
                     --sample-warm N --sample-cold N --sample-k N
                     --sample-seed N]
@@ -375,6 +376,19 @@ mod tests {
         let (code, text) = run(&["run-trace", "--file", path_s, "--strategy", "pref", "--json"]);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("\"prefetches_inserted\""));
+
+        // A trace exported with its prefetches runs as is under NP, and is
+        // refused under any strategy that would plan more.
+        let (code, _) = run(&[
+            "export-trace", "--workload", "water", "--refs", "800", "--procs", "2", "--strategy",
+            "pref", "--out", path_s,
+        ]);
+        assert_eq!(code, 0);
+        let (code, text) = run(&["run-trace", "--file", path_s, "--json"]);
+        assert_eq!(code, 0, "{text}");
+        let (code, text) = run(&["run-trace", "--file", path_s, "--strategy", "pref"]);
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("already contains prefetches"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -401,6 +415,30 @@ mod tests {
         assert_eq!(code, 2);
         assert!(text.contains("unknown protocol"), "{text}");
         // The error names every valid choice, not a stale subset.
+        for choice in ["invalidate", "update", "dragon", "moesi"] {
+            assert!(text.contains(choice), "choice {choice} missing from {text:?}");
+        }
+    }
+
+    /// `calibrate` runs its grid on the machine the flags describe: MOESI
+    /// with a stride prefetcher simulates different exact cycles than the
+    /// Illinois default, and a bad protocol lists the choices.
+    #[test]
+    fn calibrate_honours_protocol_and_hw_prefetch() {
+        let base = ["calibrate", "--grid", "quick", "--refs", "20000", "--jobs", "2", "--json"];
+        let (code, default) = run(&base);
+        assert_eq!(code, 0, "{default}");
+        let mut moesi = base.to_vec();
+        moesi.extend(["--protocol", "moesi", "--hw-prefetch", "stride:2:4"]);
+        let (code, text) = run(&moesi);
+        assert_eq!(code, 0, "{text}");
+        let exact = extract_nums(&text, "exact_cycles");
+        assert_eq!(exact.len(), 12, "{text}");
+        assert_ne!(exact, extract_nums(&default, "exact_cycles"), "flags ignored");
+
+        let (code, text) = run(&["calibrate", "--protocol", "dragonfly", "--refs", "100"]);
+        assert_eq!(code, 2);
+        assert!(text.contains("unknown protocol"), "{text}");
         for choice in ["invalidate", "update", "dragon", "moesi"] {
             assert!(text.contains(choice), "choice {choice} missing from {text:?}");
         }

@@ -17,7 +17,7 @@
 
 use crate::Experiment;
 use charlie_bus::BusConfig;
-use charlie_prefetch::Strategy;
+use charlie_prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie_sim::{simulate_counted_prevalidated, SimConfig};
 use charlie_workloads::{generate, Layout, Workload, WorkloadConfig};
 use std::fmt::Write as _;
@@ -113,17 +113,18 @@ pub fn run_slice(label: &str, cfg: &SliceConfig) -> Snapshot {
     let raw = generate(Workload::Mp3d, &wcfg);
     raw.validate().expect("generated trace is valid");
     let gen_share_ns = gen_start.elapsed().as_nanos() as f64 / exps.len() as f64;
+    let marks = TraceMarks::new(&raw, charlie_cache::CacheGeometry::paper_default());
     for strategy in Strategy::ALL {
         let apply_start = Instant::now();
-        let prepared =
-            charlie_prefetch::apply(strategy, &raw, charlie_cache::CacheGeometry::paper_default());
+        let plan = marks.plan(&raw, strategy);
+        let prepared = PreparedTrace::new(&raw, &plan);
         let cells: Vec<&Experiment> =
             exps.iter().filter(|e| e.strategy == strategy).collect();
         let apply_share_ns = apply_start.elapsed().as_nanos() as f64 / cells.len() as f64;
         for exp in cells {
             let sim_cfg = SimConfig::paper(cfg.procs, exp.transfer_cycles);
             let sim_start = Instant::now();
-            let (report, cell_events) = simulate_counted_prevalidated(&sim_cfg, &prepared)
+            let (report, cell_events) = simulate_counted_prevalidated(&sim_cfg, prepared)
                 .unwrap_or_else(|e| panic!("bench cell {exp}: {e}"));
             sim_nanos += sim_start.elapsed().as_nanos();
             events += cell_events;
@@ -179,10 +180,11 @@ pub fn run_sampled_slice(
     let raw = generate(Workload::Mp3d, &wcfg);
     raw.validate().expect("generated trace is valid");
     let gen_share_ns = gen_start.elapsed().as_nanos() as f64 / exps.len() as f64;
+    let marks = TraceMarks::new(&raw, charlie_cache::CacheGeometry::paper_default());
     for strategy in Strategy::ALL {
         let apply_start = Instant::now();
-        let prepared =
-            charlie_prefetch::apply(strategy, &raw, charlie_cache::CacheGeometry::paper_default());
+        let plan = marks.plan(&raw, strategy);
+        let prepared = PreparedTrace::new(&raw, &plan);
         let cells: Vec<&Experiment> =
             exps.iter().filter(|e| e.strategy == strategy).collect();
         let apply_share_ns = apply_start.elapsed().as_nanos() as f64 / cells.len() as f64;
@@ -190,7 +192,7 @@ pub fn run_sampled_slice(
             let sim_cfg = SimConfig::paper(cfg.procs, exp.transfer_cycles);
             let sim_start = Instant::now();
             let (report, summary) =
-                crate::sampling::run_sampled_on_prepared(&sim_cfg, &prepared, scfg)
+                crate::sampling::run_sampled_on_prepared(&sim_cfg, prepared, scfg)
                     .unwrap_or_else(|e| panic!("sampled bench cell {exp}: {e}"));
             sim_nanos += sim_start.elapsed().as_nanos();
             events += summary.events;

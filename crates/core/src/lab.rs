@@ -11,7 +11,7 @@
 
 use crate::retry::RetryPolicy;
 use charlie_cache::CacheGeometry;
-use charlie_prefetch::Strategy;
+use charlie_prefetch::{PrefetchPlan, PreparedTrace, Strategy, TraceMarks};
 use charlie_sim::{
     simulate_observed_prevalidated, HwPrefetchConfig, Observability, Protocol, SampleConfig,
     SimConfig, SimError, SimReport, Timeline, TraceCategories, TraceEmitter,
@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// One cell of the paper's evaluation space.
@@ -441,18 +441,19 @@ pub(crate) fn sim_config(cfg: &RunConfig, exp: Experiment) -> SimConfig {
     }
 }
 
-/// Runs one experiment against an already-prepared (strategy applied,
-/// validity established) trace. `apply` preserves trace validity (asserted
-/// by `apply_preserves_trace_validity` below), so one validation of the raw
-/// trace covers every strategy and latency cell derived from it.
+/// Runs one experiment against a prepared trace: a validated raw trace and
+/// the strategy's prefetch plan, which the simulator streams into it.
+/// Insertions are prefetches, which synchronization rules never concern, so
+/// one validation of the raw trace covers every strategy and latency cell
+/// derived from it.
 fn run_on_prepared(
     cfg: &RunConfig,
     exp: Experiment,
-    prepared: &Trace,
-    prefetches_inserted: u64,
+    prepared: PreparedTrace<'_>,
     observe: &ObserveSpec,
 ) -> Result<RunSummary, RunError> {
     let sim_cfg = sim_config(cfg, exp);
+    let prefetches_inserted = prepared.inserted() as u64;
     if let Some(scfg) = cfg.sampling {
         let (report, sampled) =
             crate::sampling::run_sampled_on_prepared(&sim_cfg, prepared, &scfg)
@@ -470,18 +471,6 @@ fn run_on_prepared(
     Ok(RunSummary { experiment: exp, report, prefetches_inserted, timeline, sampled: None })
 }
 
-/// Runs one experiment against an already-validated raw trace.
-fn run_on_raw(
-    cfg: &RunConfig,
-    exp: Experiment,
-    raw: &Trace,
-    observe: &ObserveSpec,
-) -> Result<RunSummary, RunError> {
-    let prepared = charlie_prefetch::apply(exp.strategy, raw, cfg.geometry);
-    let prefetches_inserted = prepared.total_prefetches() as u64;
-    run_on_prepared(cfg, exp, &prepared, prefetches_inserted, observe)
-}
-
 /// Runs one experiment under `cfg`, independent of any lab. This is the
 /// unit of work both the serial and the parallel paths execute; it touches
 /// no shared state, which is what makes [`Lab::run_batch`] trivially
@@ -493,7 +482,8 @@ fn run_experiment(
 ) -> Result<RunSummary, RunError> {
     let raw = generate(exp.workload, &workload_config(cfg, exp.layout));
     raw.validate().map_err(|e| RunError::Sim(SimError::InvalidTrace(e)))?;
-    run_on_raw(cfg, exp, &raw, observe)
+    let plan = TraceMarks::new(&raw, cfg.geometry).plan(&raw, exp.strategy);
+    run_on_prepared(cfg, exp, PreparedTrace::new(&raw, &plan), observe)
 }
 
 /// Fault-injection hook: consulted with the experiment before each run; a
@@ -511,32 +501,36 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One isolated cell execution: the injector (if any) runs first, then the
-/// experiment, with panics from either caught and converted into
-/// [`RunError::Panic`] so a single bad cell cannot take down its batch.
+/// Runs `f` with the cell's fault injector (if any) consulted first, with
+/// panics from either caught and converted into [`RunError::Panic`] so a
+/// single bad cell cannot take down its batch.
+fn isolated(
+    exp: Experiment,
+    injector: Option<&Injector>,
+    f: impl FnOnce() -> Result<RunSummary, RunError>,
+) -> Result<RunSummary, RunError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if let Some(error) = injector.and_then(|inject| inject(exp)) {
+            return Err(error);
+        }
+        f()
+    }))
+    .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload.as_ref()))))
+}
+
+/// One isolated cell execution: generate, validate, plan, simulate.
 fn run_cell(
     cfg: &RunConfig,
     exp: Experiment,
     injector: Option<&Injector>,
     observe: &ObserveSpec,
 ) -> Result<RunSummary, RunError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(inject) = injector {
-            if let Some(error) = inject(exp) {
-                return Err(error);
-            }
-        }
-        run_experiment(cfg, exp, observe)
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Panic(panic_message(payload.as_ref()))),
-    }
+    isolated(exp, injector, || run_experiment(cfg, exp, observe))
 }
 
 /// One panic-isolated cell execution independent of any [`Lab`] — the
 /// entry point the serve daemon's worker pool uses. Exactly the unit of
-/// work [`Lab::run_batch`] executes per cell (generate, validate, apply
+/// work [`Lab::run_batch`] executes per cell (generate, validate, plan the
 /// strategy, simulate), so a served summary is bit-identical to a batch
 /// one; a panicking cell comes back as [`RunError::Panic`] instead of
 /// unwinding the worker.
@@ -544,61 +538,75 @@ pub fn execute_cell(cfg: &RunConfig, exp: Experiment) -> Result<RunSummary, RunE
     run_cell(cfg, exp, None, &ObserveSpec::default())
 }
 
-/// Generates and validates the raw (pre-strategy) trace for one
-/// (workload, layout) pair, with the same panic isolation as [`run_cell`].
-/// A batch calls this once per distinct pair and shares the result across
-/// every strategy/latency cell derived from it.
-fn prepare_raw(cfg: &RunConfig, exp: Experiment) -> Result<Arc<Trace>, RunError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let raw = generate(exp.workload, &workload_config(cfg, exp.layout));
-        raw.validate().map_err(|e| RunError::Sim(SimError::InvalidTrace(e)))?;
-        Ok(Arc::new(raw))
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Panic(panic_message(payload.as_ref()))),
+/// A raw trace with its oracle marks, shared by every strategy and latency
+/// cell of one (workload, layout) in a batch. The marks are made by the
+/// first group that plans, so their cost is charged to a cell, not to the
+/// batch's setup.
+struct RawTrace {
+    trace: Trace,
+    marks: OnceLock<TraceMarks>,
+}
+
+/// A batch's slot for one (workload, layout): the raw trace (or the error
+/// generating it), held until the last group that needs it finishes.
+struct SharedRaw {
+    slot: Mutex<RawSlot>,
+}
+
+struct RawSlot {
+    raw: Option<Result<Arc<RawTrace>, RunError>>,
+    groups_left: usize,
+}
+
+impl SharedRaw {
+    /// Generates and validates the raw trace for `exp`'s (workload, layout),
+    /// with the same panic isolation as [`run_cell`], for `groups` groups.
+    fn prepare(cfg: &RunConfig, exp: Experiment, groups: usize) -> Self {
+        let raw = catch_unwind(AssertUnwindSafe(|| {
+            let trace = generate(exp.workload, &workload_config(cfg, exp.layout));
+            trace.validate().map_err(|e| RunError::Sim(SimError::InvalidTrace(e)))?;
+            Ok(Arc::new(RawTrace { trace, marks: OnceLock::new() }))
+        }))
+        .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload.as_ref()))));
+        SharedRaw { slot: Mutex::new(RawSlot { raw: Some(raw), groups_left: groups }) }
     }
-}
 
-/// Applies `strategy` to a batch-shared raw trace with the same panic
-/// isolation as [`run_cell`], returning the prepared trace and its
-/// inserted-prefetch count. One call serves every latency cell of a
-/// (workload, layout, strategy) group — `apply` does not depend on the
-/// transfer latency.
-fn prepare_strategy(
-    cfg: &RunConfig,
-    strategy: Strategy,
-    raw: &Trace,
-) -> Result<(Trace, u64), RunError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let prepared = charlie_prefetch::apply(strategy, raw, cfg.geometry);
-        let inserted = prepared.total_prefetches() as u64;
-        Ok((prepared, inserted))
-    }))
-    .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload.as_ref()))))
-}
+    /// The slot. Every update (a clone, a decrement, a `take`) leaves it
+    /// whole, so a guard poisoned by another worker's panic is still valid.
+    fn lock(&self) -> MutexGuard<'_, RawSlot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// [`run_cell`] against a batch-shared prepared trace.
-fn run_cell_prepared(
-    cfg: &RunConfig,
-    exp: Experiment,
-    prepared: &Trace,
-    prefetches_inserted: u64,
-    injector: Option<&Injector>,
-    observe: &ObserveSpec,
-) -> Result<RunSummary, RunError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(inject) = injector {
-            if let Some(error) = inject(exp) {
-                return Err(error);
-            }
+    /// The raw trace, for one of the groups that share it.
+    fn get(&self) -> Result<Arc<RawTrace>, RunError> {
+        self.lock().raw.clone().expect("a shared raw trace is dropped only after its last group")
+    }
+
+    /// Called once per group when it finishes: the last one drops the trace
+    /// and its marks (freed once that group's handle is gone too).
+    fn release(&self) {
+        let mut slot = self.lock();
+        slot.groups_left -= 1;
+        if slot.groups_left == 0 {
+            slot.raw = None;
         }
-        run_on_prepared(cfg, exp, prepared, prefetches_inserted, observe)
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Panic(panic_message(payload.as_ref()))),
     }
+}
+
+/// Plans `strategy` on a batch-shared raw trace with the same panic
+/// isolation as [`run_cell`]. One plan serves every latency cell of a
+/// (workload, layout, strategy) group — planning does not depend on the
+/// transfer latency — and the first plan of a raw trace computes the
+/// oracle marks the others reuse.
+fn plan_strategy(
+    strategy: Strategy,
+    raw: &RawTrace,
+    geometry: CacheGeometry,
+) -> Result<PrefetchPlan, RunError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        raw.marks.get_or_init(|| TraceMarks::new(&raw.trace, geometry)).plan(&raw.trace, strategy)
+    }))
+        .map_err(|payload| RunError::Panic(panic_message(payload.as_ref())))
 }
 
 /// Memoizing experiment runner.
@@ -761,13 +769,13 @@ impl Lab {
         self.stats.memo_hits += memo_hits as u64;
         self.stats.memo_misses += todo.len() as u64;
 
-        // Group cells that can share a prepared (post-strategy) trace:
-        // within one (workload, layout, strategy) group only the transfer
-        // latency varies, and neither trace generation nor `apply` depends
-        // on it. A batch therefore generates+validates each raw trace once
-        // per (workload, layout) and applies each strategy once per group,
-        // instead of redoing both for every cell. Each worker holds at most
-        // one prepared trace at a time, so memory stays bounded by `jobs`.
+        // Group cells that can share a prefetch plan: within one (workload,
+        // layout, strategy) group only the transfer latency varies, and
+        // neither trace generation nor planning depends on it. A batch
+        // therefore generates+validates each raw trace once per (workload,
+        // layout), computes its oracle marks once (in the first group that
+        // plans from it), and plans each strategy once per group, instead
+        // of redoing all three for every cell.
         let mut group_of: HashMap<(Workload, Layout, Strategy), usize> = HashMap::new();
         let mut groups: Vec<Vec<(usize, Experiment)>> = Vec::new();
         for (i, &exp) in todo.iter().enumerate() {
@@ -785,13 +793,17 @@ impl Lab {
         let injector = self.injector.as_deref();
         let observe = &self.observe;
 
-        // The raw-trace cache is read-only by the time workers see it; a
-        // failed generation fails exactly the cells that would have used
-        // that trace.
-        let mut shared: HashMap<(Workload, Layout), Result<Arc<Trace>, RunError>> =
-            HashMap::new();
+        // One slot per raw trace; a failed generation fails exactly the
+        // cells that would have used that trace. The last group of a raw
+        // trace drops it, so a batch holds only the traces still to run.
+        let mut groups_per_raw: HashMap<(Workload, Layout), usize> = HashMap::new();
+        for &(_, first) in groups.iter().map(|g| &g[0]) {
+            *groups_per_raw.entry((first.workload, first.layout)).or_default() += 1;
+        }
+        let mut shared: HashMap<(Workload, Layout), SharedRaw> = HashMap::new();
         for &exp in &todo {
-            shared.entry((exp.workload, exp.layout)).or_insert_with(|| prepare_raw(cfg, exp));
+            let key = (exp.workload, exp.layout);
+            shared.entry(key).or_insert_with(|| SharedRaw::prepare(cfg, exp, groups_per_raw[&key]));
         }
         let shared = &shared;
 
@@ -805,30 +817,34 @@ impl Lab {
             jobs,
             |worker, group| {
                 let (_, first) = group[0];
-                let apply_start = Instant::now();
-                let prepared = match &shared[&(first.workload, first.layout)] {
-                    Ok(raw) => prepare_strategy(cfg, first.strategy, raw),
+                let slot = &shared[&(first.workload, first.layout)];
+                let plan_start = Instant::now();
+                let raw = slot.get();
+                let plan = match &raw {
+                    Ok(raw) => plan_strategy(first.strategy, raw, cfg.geometry),
                     Err(error) => Err(error.clone()),
                 };
-                let apply_nanos = apply_start.elapsed().as_nanos();
-                group
+                let plan_nanos = plan_start.elapsed().as_nanos();
+                let cells = group
                     .iter()
                     .enumerate()
                     .map(|(k, &(i, exp))| {
                         let t0 = Instant::now();
-                        let outcome = match &prepared {
-                            Ok((trace, inserted)) => {
-                                run_cell_prepared(cfg, exp, trace, *inserted, injector, observe)
-                            }
-                            Err(error) => Err(error.clone()),
+                        let outcome = match (&raw, &plan) {
+                            (Ok(raw), Ok(plan)) => isolated(exp, injector, || {
+                                let prepared = PreparedTrace::new(&raw.trace, plan);
+                                run_on_prepared(cfg, exp, prepared, observe)
+                            }),
+                            (Err(error), _) | (_, Err(error)) => Err(error.clone()),
                         };
-                        // The one-off apply cost is charged to the group's
-                        // first cell.
-                        let nanos =
-                            t0.elapsed().as_nanos() + if k == 0 { apply_nanos } else { 0 };
+                        // The one-off planning cost is charged to the
+                        // group's first cell.
+                        let nanos = t0.elapsed().as_nanos() + if k == 0 { plan_nanos } else { 0 };
                         (i, outcome, nanos, worker)
                     })
-                    .collect::<Vec<_>>()
+                    .collect::<Vec<_>>();
+                slot.release();
+                cells
             },
             |_, cells| {
                 if let Some(cb) = on_complete.as_deref_mut() {

@@ -38,6 +38,7 @@ use charlie_sim::{
     simulate_prevalidated, simulate_sampled_prevalidated, SamplePlan, SampledWindow, SimConfig,
     SimError, SimReport, WindowKind,
 };
+use charlie_prefetch::{PrefetchPlan, PreparedTrace, TraceMarks};
 use charlie_trace::Trace;
 use charlie_workloads::{generate, Workload};
 use std::fmt;
@@ -274,7 +275,7 @@ fn ratio_estimate(detailed: &[&SampledWindow], total_accesses: u64, value: impl 
 /// estimate from the periodic detailed windows.
 fn run_smarts(
     sim_cfg: &SimConfig,
-    prepared: &Trace,
+    prepared: PreparedTrace<'_>,
     scfg: &SamplingConfig,
 ) -> Result<(SimReport, SampledSummary), SimError> {
     let plan =
@@ -470,7 +471,7 @@ fn choose_k(feats: &[Vec<f64>], max_k: usize, seed: u64) -> (usize, Vec<usize>, 
 /// representative per cluster, weight by cluster size.
 fn run_simpoint(
     sim_cfg: &SimConfig,
-    prepared: &Trace,
+    prepared: PreparedTrace<'_>,
     scfg: &SamplingConfig,
 ) -> Result<(SimReport, SampledSummary), SimError> {
     // Pass 1: pure fast-forward, collecting phase signatures.
@@ -585,16 +586,18 @@ fn patch_report(mut report: SimReport, summary: &SampledSummary) -> SimReport {
     report
 }
 
-/// Runs one prepared trace in sampled mode, returning the patched report
-/// (timing totals replaced by estimates; see [`patch_report`]) and the
-/// estimate itself. Requires `sim_cfg.warmup_accesses == 0` — the sampled
-/// path owns the measurement-window semantics.
-pub fn run_sampled_on_prepared(
+/// Runs one prepared trace (a plain `&Trace`, or a raw trace with its
+/// prefetch plan) in sampled mode, returning the patched report (timing
+/// totals replaced by estimates; see [`patch_report`]) and the estimate
+/// itself. Requires `sim_cfg.warmup_accesses == 0` — the sampled path owns
+/// the measurement-window semantics.
+pub fn run_sampled_on_prepared<'a>(
     sim_cfg: &SimConfig,
-    prepared: &Trace,
+    prepared: impl Into<PreparedTrace<'a>>,
     scfg: &SamplingConfig,
 ) -> Result<(SimReport, SampledSummary), SimError> {
     scfg.validate().map_err(SimError::InvalidSamplePlan)?;
+    let prepared = prepared.into();
     match scfg.mode {
         SamplingMode::Smarts => run_smarts(sim_cfg, prepared, scfg),
         SamplingMode::Simpoint => run_simpoint(sim_cfg, prepared, scfg),
@@ -771,21 +774,22 @@ pub fn calibrate(
     Ok(Calibration { config: *scfg, cells })
 }
 
-/// One cell: generate, apply strategy, run exact and sampled, compare.
+/// One cell: generate, plan the strategy, run exact and sampled, compare.
 fn calibrate_cell(
     cfg: &RunConfig,
     scfg: &SamplingConfig,
     exp: Experiment,
 ) -> Result<CalibrationCell, SimError> {
-    let (sim_cfg, prepared) = prepare_cell(cfg, exp)?;
+    let (sim_cfg, raw, plan) = prepare_cell(cfg, exp)?;
+    let prepared = PreparedTrace::new(&raw, &plan);
 
     let exact_start = std::time::Instant::now();
     let (exact, exact_events) =
-        charlie_sim::simulate_counted_prevalidated(&sim_cfg, &prepared)?;
+        charlie_sim::simulate_counted_prevalidated(&sim_cfg, prepared)?;
     let exact_wall_ns = exact_start.elapsed().as_nanos() as u64;
 
     let sampled_start = std::time::Instant::now();
-    let (_, sampled) = run_sampled_on_prepared(&sim_cfg, &prepared, scfg)?;
+    let (_, sampled) = run_sampled_on_prepared(&sim_cfg, prepared, scfg)?;
     let sampled_wall_ns = sampled_start.elapsed().as_nanos() as u64;
 
     Ok(CalibrationCell {
@@ -799,20 +803,23 @@ fn calibrate_cell(
     })
 }
 
-/// Builds the simulator configuration and prepared trace for one cell the
-/// same way the lab does (validated raw trace, strategy applied).
-fn prepare_cell(cfg: &RunConfig, exp: Experiment) -> Result<(SimConfig, Trace), SimError> {
+/// Builds the simulator configuration, validated raw trace and prefetch
+/// plan for one cell the same way the lab does.
+fn prepare_cell(
+    cfg: &RunConfig,
+    exp: Experiment,
+) -> Result<(SimConfig, Trace, PrefetchPlan), SimError> {
     let raw = generate(exp.workload, &crate::lab::workload_config(cfg, exp.layout));
     raw.validate()?;
-    let prepared = charlie_prefetch::apply(exp.strategy, &raw, cfg.geometry);
-    Ok((crate::lab::sim_config(cfg, exp), prepared))
+    let plan = TraceMarks::new(&raw, cfg.geometry).plan(&raw, exp.strategy);
+    Ok((crate::lab::sim_config(cfg, exp), raw, plan))
 }
 
 /// Smoke check: the exact path reproduces a plain simulation (used by the
 /// property suite; exported so the CLI can cheaply self-test).
 pub fn exact_reference(cfg: &RunConfig, exp: Experiment) -> Result<SimReport, SimError> {
-    let (sim_cfg, prepared) = prepare_cell(cfg, exp)?;
-    simulate_prevalidated(&sim_cfg, &prepared)
+    let (sim_cfg, raw, plan) = prepare_cell(cfg, exp)?;
+    simulate_prevalidated(&sim_cfg, PreparedTrace::new(&raw, &plan))
 }
 
 #[cfg(test)]
@@ -878,9 +885,10 @@ mod tests {
         let cfg = small_cfg();
         let exp = Experiment::paper(Workload::Mp3d, Strategy::NoPrefetch, 8);
         let exact = exact_reference(&cfg, exp).unwrap();
-        let (sim_cfg, prepared) = prepare_cell(&cfg, exp).unwrap();
+        let (sim_cfg, raw, plan) = prepare_cell(&cfg, exp).unwrap();
+        let prepared = PreparedTrace::new(&raw, &plan);
         let scfg = SamplingConfig { period: 8, ..SamplingConfig::smarts() };
-        let (report, summary) = run_sampled_on_prepared(&sim_cfg, &prepared, &scfg).unwrap();
+        let (report, summary) = run_sampled_on_prepared(&sim_cfg, prepared, &scfg).unwrap();
         assert_eq!(report.cycles, summary.est_cycles);
         assert!(summary.detailed_windows >= 1);
         let err = (summary.est_cycles as f64 - exact.cycles as f64).abs() / exact.cycles as f64;
@@ -902,9 +910,10 @@ mod tests {
     fn simpoint_runs_and_patches_report() {
         let cfg = small_cfg();
         let exp = Experiment::paper(Workload::Water, Strategy::Pref, 8);
-        let (sim_cfg, prepared) = prepare_cell(&cfg, exp).unwrap();
+        let (sim_cfg, raw, plan) = prepare_cell(&cfg, exp).unwrap();
+        let prepared = PreparedTrace::new(&raw, &plan);
         let scfg = SamplingConfig { window_accesses: 1024, ..SamplingConfig::simpoint() };
-        let (report, summary) = run_sampled_on_prepared(&sim_cfg, &prepared, &scfg).unwrap();
+        let (report, summary) = run_sampled_on_prepared(&sim_cfg, prepared, &scfg).unwrap();
         assert_eq!(summary.mode, SamplingMode::Simpoint);
         assert!(summary.clusters >= 1);
         assert!(summary.detailed_windows >= 1);

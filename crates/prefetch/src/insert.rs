@@ -1,32 +1,29 @@
 //! Placement of prefetch instructions into an event stream.
 
-use charlie_trace::{ProcTrace, TraceEvent};
+use crate::plan::Insertion;
+use charlie_trace::{Access, ProcTrace, TraceEvent};
 
-/// Per-event prefetch decision produced by the oracle (and augmented by the
-/// PWS filter and the EXCL policy).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct PrefetchMark {
-    /// Insert a prefetch covering this access.
-    pub prefetch: bool,
-    /// The access is a write (candidate for exclusive prefetching).
-    pub is_write: bool,
-    /// Prefetch in exclusive mode.
-    pub exclusive: bool,
-}
-
-impl PrefetchMark {
-    /// A mark for a non-access event (never prefetched).
-    pub fn inert() -> Self {
-        PrefetchMark { prefetch: false, is_write: false, exclusive: false }
+/// The sorted union of two ascending index lists.
+pub(crate) fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let next = a[i].min(b[j]);
+        i += usize::from(a[i] == next);
+        j += usize::from(b[j] == next);
+        out.push(next);
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
-/// Inserts a prefetch `distance` estimated CPU cycles ahead of every marked
-/// access.
+/// Places one prefetch `distance` estimated CPU cycles ahead of each marked
+/// access, in a single pass over the stream.
 ///
 /// The distance is measured with the paper's off-line cost model
-/// ([`TraceEvent::estimated_cycles`]: 1 cycle/instruction, accesses assumed
-/// to hit). Placement rules:
+/// ([`charlie_trace::TraceEvent::estimated_cycles`]: 1 cycle/instruction,
+/// accesses assumed to hit). Placement rules:
 ///
 /// * the prefetch lands at the latest point that still leaves at least
 ///   `distance` cycles before the access (the paper argues for receiving
@@ -36,133 +33,123 @@ impl PrefetchMark {
 /// * if the stream start or a synchronization boundary is closer than
 ///   `distance`, the prefetch is placed there.
 ///
-/// # Panics
-///
-/// Panics if `marks.len() != stream.len()`.
-pub fn insert_prefetches(stream: &ProcTrace, marks: &[PrefetchMark], distance: u64) -> ProcTrace {
-    assert_eq!(marks.len(), stream.len(), "one mark per event required");
+/// Two cursors walk the stream: `lead` to each marked access, tracking the
+/// cycles before it and the last synchronization boundary, and `trail` to
+/// the latest point at least `distance` cycles behind it. Both only move
+/// forward, because marks ascend and the cycle count never decreases.
+/// `lead` then finishes the stream, so the pass also returns the stream's
+/// [`ProcTrace::estimated_cycles`].
+pub(crate) fn place(
+    stream: &ProcTrace,
+    marked: &[u32],
+    distance: u64,
+    mut exclusive: impl FnMut(usize, Access) -> bool,
+) -> (Vec<Insertion>, u64) {
     let events = stream.events();
-    let n = events.len();
-
-    // prefix[i] = estimated cycles before event i.
-    let mut prefix = Vec::with_capacity(n + 1);
-    let mut acc = 0u64;
-    prefix.push(0);
-    for ev in events {
-        acc += ev.estimated_cycles();
-        prefix.push(acc);
-    }
-
-    // insertions[k] = (event index to insert before, prefetch event); built
-    // in nondecreasing index order because prefix sums are nondecreasing.
-    let mut insertions: Vec<(usize, TraceEvent)> = Vec::new();
-    let mut boundary = 0usize; // first legal insertion index (after last sync)
-    for (i, ev) in events.iter().enumerate() {
-        if let (TraceEvent::Access(a), mark) = (ev, marks[i]) {
-            if mark.prefetch {
-                let j = if prefix[i] <= distance {
-                    0
-                } else {
-                    let target = prefix[i] - distance;
-                    // Largest j ≤ i with prefix[j] <= target.
-                    prefix[..=i].partition_point(|&c| c <= target) - 1
-                };
-                let j = j.max(boundary);
-                insertions
-                    .push((j, TraceEvent::Prefetch { addr: a.addr, exclusive: mark.exclusive }));
+    assert!(
+        marked.last().is_none_or(|&i| (i as usize) < events.len()),
+        "marks must index the stream's events"
+    );
+    let mut out = Vec::with_capacity(marked.len());
+    // Cycles before event `lead`; first index after the last sync before it.
+    let (mut lead, mut lead_cycles, mut boundary) = (0usize, 0u64, 0usize);
+    // Cycles before event `trail`.
+    let (mut trail, mut trail_cycles) = (0usize, 0u64);
+    for &i in marked {
+        let i = i as usize;
+        while lead < i {
+            let ev = &events[lead];
+            lead_cycles += ev.estimated_cycles();
+            lead += 1;
+            if ev.is_sync() {
+                boundary = lead;
             }
         }
-        if ev.is_sync() {
-            boundary = i + 1;
-        }
+        let Some(access) = events[i].as_access() else { continue };
+        let at = if lead_cycles <= distance {
+            0
+        } else {
+            let target = lead_cycles - distance;
+            while trail < i && trail_cycles + events[trail].estimated_cycles() <= target {
+                trail_cycles += events[trail].estimated_cycles();
+                trail += 1;
+            }
+            trail
+        };
+        out.push(Insertion {
+            at: at.max(boundary) as u32,
+            exclusive: exclusive(i, access),
+            addr: access.addr,
+        });
     }
-
-    // Single merge pass.
-    let mut out = Vec::with_capacity(n + insertions.len());
-    let mut ins = insertions.into_iter().peekable();
-    for (i, ev) in events.iter().enumerate() {
-        while ins.peek().is_some_and(|&(j, _)| j == i) {
-            out.push(ins.next().expect("peeked").1);
-        }
-        out.push(*ev);
-    }
-    // Marks always point at existing accesses, so j <= i < n and nothing
-    // remains; defend anyway.
-    out.extend(ins.map(|(_, e)| e));
-    ProcTrace::from_events(out)
+    let total = lead_cycles + events[lead..].iter().map(TraceEvent::estimated_cycles).sum::<u64>();
+    (out, total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charlie_trace::{Access, Addr};
+    use crate::plan::ProcStream;
+    use charlie_trace::{Addr, BarrierId, TraceEvent};
 
     fn read(a: u64) -> TraceEvent {
         TraceEvent::Access(Access::read(Addr::new(a)))
     }
 
-    fn mark() -> PrefetchMark {
-        PrefetchMark { prefetch: true, is_write: false, exclusive: false }
+    /// Places prefetches for the accesses at `marked` (shared mode) and
+    /// returns the merged stream.
+    fn run(events: Vec<TraceEvent>, marked: &[u32], distance: u64) -> Vec<TraceEvent> {
+        let stream = ProcTrace::from_events(events);
+        let (inserts, total) = place(&stream, marked, distance, |_, _| false);
+        assert_eq!(total, stream.estimated_cycles());
+        ProcStream::new(stream.events(), &inserts).iter().collect()
     }
 
-    fn run(events: Vec<TraceEvent>, marked: &[usize], distance: u64) -> Vec<TraceEvent> {
-        let stream = ProcTrace::from_events(events);
-        let mut marks = vec![PrefetchMark::inert(); stream.len()];
-        for &i in marked {
-            marks[i] = mark();
-        }
-        insert_prefetches(&stream, &marks, distance).events().to_vec()
+    fn prefetch_pos(out: &[TraceEvent]) -> usize {
+        out.iter().position(|e| matches!(e, TraceEvent::Prefetch { .. })).expect("prefetch present")
     }
 
     #[test]
     fn exact_distance_placement() {
-        // Work(150) then access: distance 100 → insert inside... events are
-        // atomic, so the prefetch goes before the event whose prefix is the
-        // last one ≤ (150 - 100) = 50; prefix of Work(150) is 0 ≤ 50, prefix
-        // of the access is 150 > 50 → before the access? No: j is the largest
-        // index with prefix[j] <= 50, which is 0 (prefix[1] = 150). So the
-        // prefetch lands before the Work event, giving 150 ≥ 100 cycles.
+        // Events are atomic: the prefetch goes before the last event whose
+        // prefix is ≤ 150 - 100 = 50, i.e. before the Work(150), giving
+        // 150 ≥ 100 cycles.
         let out = run(vec![TraceEvent::Work(150), read(0x100)], &[1], 100);
-        assert!(matches!(out[0], TraceEvent::Prefetch { .. }));
+        assert_eq!(prefetch_pos(&out), 0);
         assert_eq!(out.len(), 3);
     }
 
     #[test]
     fn fine_grained_work_gets_precise_placement() {
-        // Ten Work(20) events then the access; distance 100 → insert before
-        // the event at prefix 100, i.e. five Work events (100 cycles) remain.
+        // Ten Work(20) events then the access; distance 100 → five Work
+        // events (100 cycles) remain after the prefetch.
         let mut events: Vec<TraceEvent> = (0..10).map(|_| TraceEvent::Work(20)).collect();
         events.push(read(0x100));
-        let out = run(events, &[10], 100);
-        let pf_pos = out.iter().position(|e| matches!(e, TraceEvent::Prefetch { .. })).unwrap();
-        assert_eq!(pf_pos, 5, "exactly 100 estimated cycles remain after the prefetch");
+        assert_eq!(prefetch_pos(&run(events, &[10], 100)), 5);
     }
 
     #[test]
     fn short_stream_hoists_to_start() {
         let out = run(vec![TraceEvent::Work(10), read(0x100)], &[1], 100);
-        assert!(matches!(out[0], TraceEvent::Prefetch { .. }));
+        assert_eq!(prefetch_pos(&out), 0);
     }
 
     #[test]
     fn never_hoists_across_sync() {
         let events = vec![
             TraceEvent::Work(500),
-            TraceEvent::Barrier(charlie_trace::BarrierId(0)),
+            TraceEvent::Barrier(BarrierId(0)),
             TraceEvent::Work(10),
             read(0x100),
         ];
         let out = run(events, &[3], 100);
-        let pf_pos = out.iter().position(|e| matches!(e, TraceEvent::Prefetch { .. })).unwrap();
-        let barrier_pos = out.iter().position(|e| matches!(e, TraceEvent::Barrier(_))).unwrap();
-        assert!(pf_pos > barrier_pos, "prefetch must stay after the barrier");
+        assert_eq!(prefetch_pos(&out), 2, "prefetch must stay after the barrier");
     }
 
     #[test]
     fn unmarked_stream_unchanged() {
         let events = vec![TraceEvent::Work(5), read(0x100)];
-        let out = run(events.clone(), &[], 100);
-        assert_eq!(out, events);
+        assert_eq!(run(events.clone(), &[], 100), events);
     }
 
     #[test]
@@ -176,10 +163,8 @@ mod tests {
             read(0x300),
         ];
         let out = run(events, &[1, 3, 5], 100);
-        let addrs: Vec<u64> = out
-            .iter()
-            .filter_map(|e| e.as_access().map(|a| a.addr.raw()))
-            .collect();
+        let addrs: Vec<u64> =
+            out.iter().filter_map(|e| e.as_access().map(|a| a.addr.raw())).collect();
         assert_eq!(addrs, vec![0x100, 0x200, 0x300]);
         let pf = out.iter().filter(|e| matches!(e, TraceEvent::Prefetch { .. })).count();
         assert_eq!(pf, 3);
@@ -191,21 +176,23 @@ mod tests {
             TraceEvent::Work(10),
             TraceEvent::Access(Access::write(Addr::new(0x40))),
         ]);
-        let marks = vec![
-            PrefetchMark::inert(),
-            PrefetchMark { prefetch: true, is_write: true, exclusive: true },
-        ];
-        let out = insert_prefetches(&stream, &marks, 100);
-        assert!(matches!(
-            out.events()[0],
-            TraceEvent::Prefetch { exclusive: true, .. }
-        ));
+        let (inserts, _) = place(&stream, &[1], 100, |_, a| a.kind.is_write());
+        assert_eq!(inserts.len(), 1);
+        assert!(inserts[0].exclusive);
+        assert_eq!(inserts[0].at, 0);
     }
 
     #[test]
-    #[should_panic(expected = "one mark per event")]
+    #[should_panic(expected = "marks must index")]
     fn mark_length_mismatch_panics() {
         let stream = ProcTrace::from_events(vec![read(0)]);
-        let _ = insert_prefetches(&stream, &[], 100);
+        let _ = place(&stream, &[1], 100, |_, _| false);
+    }
+
+    #[test]
+    fn union_merges_and_dedups() {
+        assert_eq!(union(&[1, 3, 5], &[2, 3, 9]), vec![1, 2, 3, 5, 9]);
+        assert_eq!(union(&[], &[4]), vec![4]);
+        assert_eq!(union(&[4], &[]), vec![4]);
     }
 }

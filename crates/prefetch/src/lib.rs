@@ -16,18 +16,26 @@
 //!    [`Strategy::Pws`] adds redundant prefetches for write-shared lines
 //!    chosen by a 16-line fully-associative temporal-locality filter.
 //!
+//! Because step 1 is the same for every strategy, [`TraceMarks`] computes
+//! it once per raw trace, and each strategy becomes a [`PrefetchPlan`] of
+//! insertion points that the simulator streams into the raw trace
+//! ([`PreparedTrace`]). [`apply`] materializes the same plan as a new trace.
+//!
 //! # Example
 //!
 //! ```
-//! use charlie_prefetch::{apply, Strategy};
+//! use charlie_prefetch::{apply, PreparedTrace, Strategy, TraceMarks};
 //! use charlie_cache::CacheGeometry;
 //! use charlie_trace::{Addr, TraceBuilder};
 //!
 //! let mut b = TraceBuilder::new(1);
 //! b.proc(0).work(200).read(Addr::new(0x100));
 //! let trace = b.build();
+//! let marks = TraceMarks::new(&trace, CacheGeometry::paper_default());
+//! let plan = marks.plan(&trace, Strategy::Pref);
+//! assert_eq!(plan.len(), 1); // the cold miss gets covered
 //! let with_pf = apply(Strategy::Pref, &trace, CacheGeometry::paper_default());
-//! assert_eq!(with_pf.total_prefetches(), 1); // the cold miss gets covered
+//! assert_eq!(with_pf, PreparedTrace::new(&trace, &plan).to_trace());
 //! ```
 //!
 //! [`TraceEvent::Prefetch`]: charlie_trace::TraceEvent::Prefetch
@@ -35,25 +43,25 @@
 pub mod hw;
 mod insert;
 mod oracle;
+mod plan;
 mod pws;
 pub mod rmw;
 mod strategy;
 
 pub use hw::{new_prefetcher, HwPrefetchConfig, HwPrefetcherKind, Prefetcher};
-pub use insert::{insert_prefetches, PrefetchMark};
-pub use oracle::oracle_miss_marks;
-pub use pws::pws_extra_marks;
+pub use plan::{Insertion, PrefetchPlan, PreparedTrace, ProcStream, StreamCursor, TraceMarks};
 pub use strategy::Strategy;
 
 use charlie_cache::CacheGeometry;
-use charlie_trace::{SharingMap, Trace};
+use charlie_trace::Trace;
 
 /// Applies `strategy` to a demand trace, returning a new trace with prefetch
-/// events inserted. [`Strategy::NoPrefetch`] returns a plain clone.
+/// events inserted. [`Strategy::NoPrefetch`] returns a plain copy.
 ///
 /// The input trace must not already contain prefetch events (they would
 /// confuse the distance estimation); the paper's pipeline always starts from
-/// the raw trace.
+/// the raw trace. The simulator does not need the copy: it streams a
+/// [`PrefetchPlan`] into the raw trace instead.
 ///
 /// # Panics
 ///
@@ -76,38 +84,8 @@ pub fn apply_with_distance(
     geometry: CacheGeometry,
     distance: u64,
 ) -> Trace {
-    assert_eq!(trace.total_prefetches(), 0, "input trace already contains prefetches");
-    if strategy == Strategy::NoPrefetch {
-        return trace.clone();
-    }
-    let exclusive_writes = strategy.exclusive_writes();
-
-    let sharing = if strategy.prefetches_write_shared() {
-        Some(SharingMap::analyze(trace, geometry.block_bytes()))
-    } else {
-        None
-    };
-
-    let mut procs = Vec::with_capacity(trace.num_procs());
-    for (_, stream) in trace.iter() {
-        let mut marks = oracle_miss_marks(stream, geometry);
-        if let Some(sharing) = &sharing {
-            let extra = pws_extra_marks(stream, geometry, sharing);
-            for (m, e) in marks.iter_mut().zip(extra) {
-                m.prefetch |= e;
-            }
-        }
-        if exclusive_writes {
-            for m in &mut marks {
-                m.exclusive = m.is_write;
-            }
-        }
-        if strategy.exclusive_rmw() {
-            rmw::mark_rmw_exclusive(stream, &mut marks, geometry);
-        }
-        procs.push(insert_prefetches(stream, &marks, distance));
-    }
-    Trace::from_procs(procs)
+    let plan = TraceMarks::new(trace, geometry).plan_with_distance(trace, strategy, distance);
+    PreparedTrace::new(trace, &plan).to_trace()
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! The PWS write-shared temporal-locality filter (paper §4.1).
 
+use crate::oracle::marked_indices;
 use charlie_cache::{CacheGeometry, FilterCache};
 use charlie_trace::{ProcTrace, SharingMap, TraceEvent};
 
@@ -14,28 +15,24 @@ use charlie_trace::{ProcTrace, SharingMap, TraceEvent};
 /// were it not for invalidations — which is exactly why the oracle cannot
 /// mark them.
 ///
-/// Returns one `bool` per event of the stream (`true` = add a prefetch).
-pub fn pws_extra_marks(
+/// Returns the indices of the marked events, ascending.
+pub(crate) fn pws_extra(
     stream: &ProcTrace,
     geometry: CacheGeometry,
     sharing: &SharingMap,
-) -> Vec<bool> {
+) -> Vec<u32> {
     debug_assert_eq!(
         sharing.block_bytes(),
         geometry.block_bytes(),
         "sharing map and cache geometry must agree on block size"
     );
     let mut filter = FilterCache::pws_default();
-    stream
-        .events()
-        .iter()
-        .map(|ev| match ev {
-            TraceEvent::Access(a) if sharing.is_write_shared(a.addr.line(geometry.block_bytes())) => {
-                !filter.access(a.addr)
-            }
-            _ => false,
-        })
-        .collect()
+    marked_indices(stream, |ev| match ev {
+        TraceEvent::Access(a) if sharing.is_write_shared(a.addr.line(geometry.block_bytes())) => {
+            !filter.access(a.addr)
+        }
+        _ => false,
+    })
 }
 
 #[cfg(test)]
@@ -52,8 +49,8 @@ mod tests {
         let t = b.build();
         let geometry = CacheGeometry::paper_default();
         let sharing = SharingMap::analyze(&t, 32);
-        let marks = pws_extra_marks(t.proc(0), geometry, &sharing);
-        assert_eq!(marks, vec![true, false], "only the write-shared cold ref marked");
+        let marks = pws_extra(t.proc(0), geometry, &sharing);
+        assert_eq!(marks, vec![0], "only the write-shared cold ref marked");
     }
 
     #[test]
@@ -76,9 +73,9 @@ mod tests {
         }
         let t = b.build();
         let sharing = SharingMap::analyze(&t, 32);
-        let marks = pws_extra_marks(t.proc(0), CacheGeometry::paper_default(), &sharing);
-        assert!(marks[0], "cold filter miss");
-        assert!(*marks.last().unwrap(), "reuse after filter eviction re-marked");
+        let marks = pws_extra(t.proc(0), CacheGeometry::paper_default(), &sharing);
+        assert_eq!(marks.first(), Some(&0), "cold filter miss");
+        assert_eq!(marks.last(), Some(&21), "reuse after filter eviction re-marked");
     }
 
     #[test]
@@ -88,7 +85,7 @@ mod tests {
         b.proc(1).write(Addr::new(0x100));
         let t = b.build();
         let sharing = SharingMap::analyze(&t, 32);
-        let marks = pws_extra_marks(t.proc(0), CacheGeometry::paper_default(), &sharing);
-        assert_eq!(marks, vec![true, false, false], "good temporal locality → no extra prefetch");
+        let marks = pws_extra(t.proc(0), CacheGeometry::paper_default(), &sharing);
+        assert_eq!(marks, vec![0], "good temporal locality → no extra prefetch");
     }
 }

@@ -10,114 +10,104 @@
 //!
 //! [`Strategy::ExclRmw`]: crate::Strategy::ExclRmw
 
-use crate::insert::PrefetchMark;
 use charlie_cache::CacheGeometry;
-use charlie_trace::ProcTrace;
+use charlie_trace::TraceEvent;
 
 /// How soon (in estimated CPU cycles) a write must follow the read for the
 /// pair to count as a read-modify-write idiom.
 pub const RMW_WINDOW_CYCLES: u64 = 50;
 
-/// Upgrades prefetch marks on *read* accesses that a write to the same line
-/// follows within [`RMW_WINDOW_CYCLES`] (never looking across a lock or
-/// barrier) to exclusive mode.
-///
-/// # Panics
-///
-/// Panics if `marks.len() != stream.len()`.
-pub fn mark_rmw_exclusive(stream: &ProcTrace, marks: &mut [PrefetchMark], geometry: CacheGeometry) {
-    assert_eq!(marks.len(), stream.len(), "one mark per event required");
-    let events = stream.events();
-    for i in 0..events.len() {
-        if !marks[i].prefetch || marks[i].is_write || marks[i].exclusive {
-            continue;
+/// Whether a write to the line of the access at `events[i]` follows it
+/// within [`RMW_WINDOW_CYCLES`], never looking across a lock or barrier.
+/// `false` if `events[i]` is not an access.
+pub fn write_follows(events: &[TraceEvent], i: usize, geometry: CacheGeometry) -> bool {
+    let Some(access) = events[i].as_access() else { return false };
+    let line = geometry.line(access.addr);
+    let mut budget = RMW_WINDOW_CYCLES;
+    for later in &events[i + 1..] {
+        if later.is_sync() {
+            return false;
         }
-        let Some(access) = events[i].as_access() else { continue };
-        let line = geometry.line(access.addr);
-        let mut budget = RMW_WINDOW_CYCLES;
-        for later in &events[i + 1..] {
-            if later.is_sync() {
-                break;
+        if let Some(a) = later.as_access() {
+            if a.kind.is_write() && geometry.line(a.addr) == line {
+                return true;
             }
-            if let Some(a) = later.as_access() {
-                if a.kind.is_write() && geometry.line(a.addr) == line {
-                    marks[i].exclusive = true;
-                    break;
-                }
-            }
-            let cost = later.estimated_cycles();
-            if cost >= budget {
-                break;
-            }
-            budget -= cost;
         }
+        let cost = later.estimated_cycles();
+        if cost >= budget {
+            return false;
+        }
+        budget -= cost;
     }
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::oracle_miss_marks;
     use charlie_trace::{Addr, TraceBuilder};
 
-    fn marks_for(build: impl FnOnce(&mut charlie_trace::ProcTraceBuilder<'_>)) -> Vec<PrefetchMark> {
+    fn follows(build: impl FnOnce(&mut charlie_trace::ProcTraceBuilder<'_>)) -> bool {
         let mut b = TraceBuilder::new(1);
         build(&mut b.proc(0));
         let t = b.build();
-        let geometry = CacheGeometry::paper_default();
-        let mut marks = oracle_miss_marks(t.proc(0), geometry);
-        mark_rmw_exclusive(t.proc(0), &mut marks, geometry);
-        marks
+        write_follows(t.proc(0).events(), 0, CacheGeometry::paper_default())
     }
 
     #[test]
     fn read_then_write_same_line_marked_exclusive() {
-        let m = marks_for(|p| {
+        assert!(follows(|p| {
             p.read(Addr::new(0x100)).work(5).write(Addr::new(0x104));
-        });
-        assert!(m[0].prefetch && m[0].exclusive, "RMW idiom detected");
+        }));
     }
 
     #[test]
     fn read_without_write_stays_shared() {
-        let m = marks_for(|p| {
+        assert!(!follows(|p| {
             p.read(Addr::new(0x100)).work(5).read(Addr::new(0x104));
-        });
-        assert!(m[0].prefetch && !m[0].exclusive);
+        }));
     }
 
     #[test]
     fn write_to_other_line_ignored() {
-        let m = marks_for(|p| {
+        assert!(!follows(|p| {
             p.read(Addr::new(0x100)).write(Addr::new(0x200));
-        });
-        assert!(!m[0].exclusive);
+        }));
     }
 
     #[test]
     fn window_limits_lookahead() {
-        let m = marks_for(|p| {
+        assert!(!follows(|p| {
             p.read(Addr::new(0x100)).work(500).write(Addr::new(0x104));
-        });
-        assert!(!m[0].exclusive, "write too far away");
+        }));
     }
 
     #[test]
     fn sync_stops_lookahead() {
-        let m = marks_for(|p| {
+        assert!(!follows(|p| {
             p.read(Addr::new(0x100)).lock(0).write(Addr::new(0x104)).unlock(0);
-        });
-        assert!(!m[0].exclusive, "never looks across synchronization");
+        }));
     }
 
     #[test]
     fn unmarked_reads_untouched() {
-        // Second read of the line hits (not marked); it must stay inert even
-        // though a write follows.
-        let m = marks_for(|p| {
-            p.read(Addr::new(0x100)).read(Addr::new(0x104)).write(Addr::new(0x108));
-        });
-        assert!(m[0].exclusive);
-        assert!(!m[1].prefetch && !m[1].exclusive);
+        // The second read hits (not marked), so it gets no prefetch even
+        // though a write follows; the first read's prefetch is exclusive.
+        let mut b = TraceBuilder::new(1);
+        b.proc(0).read(Addr::new(0x100)).read(Addr::new(0x104)).write(Addr::new(0x108));
+        let t = b.build();
+        let plan = crate::TraceMarks::new(&t, CacheGeometry::paper_default())
+            .plan(&t, crate::Strategy::ExclRmw);
+        let inserts = plan.proc(0);
+        assert_eq!(inserts.len(), 1);
+        assert!(inserts[0].exclusive);
+        assert_eq!(inserts[0].addr, Addr::new(0x100));
+    }
+
+    #[test]
+    fn non_access_never_detected() {
+        assert!(!follows(|p| {
+            p.work(1).write(Addr::new(0x104));
+        }));
     }
 }

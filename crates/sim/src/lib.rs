@@ -69,7 +69,7 @@ pub use check::CoherenceViolation;
 pub use config::{Protocol, SimConfig, BARRIER_REGION_BASE, LOCK_REGION_BASE};
 pub use sharers::SharerTable;
 pub use error::SimError;
-pub use charlie_prefetch::{HwPrefetchConfig, HwPrefetcherKind};
+pub use charlie_prefetch::{HwPrefetchConfig, HwPrefetcherKind, PreparedTrace};
 pub use metrics::{
     HwPrefetchStats, LatencyStats, MissBreakdown, PrefetchStats, ProcStats, SimReport,
     LATENCY_BUCKET_BOUNDS,
@@ -79,17 +79,22 @@ pub use sample::{
 };
 pub use sampling::{SamplePlan, SampledWindow, Schedule, WindowKind};
 
-use charlie_trace::Trace;
-
 /// Runs one simulation of `trace` on the machine described by `cfg`.
+///
+/// `trace` is a plain `&Trace` or a [`PreparedTrace`]: a raw trace with a
+/// prefetch plan that the machine merges into each processor's stream as it
+/// reads it. Every `simulate*` entry point takes either.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the trace fails validation, its processor count
 /// does not match the configuration, or the machine deadlocks (which a
 /// validated trace cannot cause).
-pub fn simulate(cfg: &SimConfig, trace: &Trace) -> Result<SimReport, SimError> {
-    Ok(machine::Machine::new(*cfg, trace)?.run()?.report)
+pub fn simulate<'a>(
+    cfg: &SimConfig,
+    trace: impl Into<PreparedTrace<'a>>,
+) -> Result<SimReport, SimError> {
+    Ok(machine::Machine::new(*cfg, trace.into())?.run()?.report)
 }
 
 /// [`simulate`], but additionally returns the number of scheduler events the
@@ -100,8 +105,11 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> Result<SimReport, SimError> {
 /// # Errors
 ///
 /// Same failure modes as [`simulate`].
-pub fn simulate_counted(cfg: &SimConfig, trace: &Trace) -> Result<(SimReport, u64), SimError> {
-    let out = machine::Machine::new(*cfg, trace)?.run()?;
+pub fn simulate_counted<'a>(
+    cfg: &SimConfig,
+    trace: impl Into<PreparedTrace<'a>>,
+) -> Result<(SimReport, u64), SimError> {
+    let out = machine::Machine::new(*cfg, trace.into())?.run()?;
     Ok((out.report, out.events))
 }
 
@@ -114,12 +122,12 @@ pub fn simulate_counted(cfg: &SimConfig, trace: &Trace) -> Result<(SimReport, u6
 /// # Errors
 ///
 /// Same failure modes as [`simulate`].
-pub fn simulate_observed(
+pub fn simulate_observed<'a>(
     cfg: &SimConfig,
-    trace: &Trace,
+    trace: impl Into<PreparedTrace<'a>>,
     obs: Observability,
 ) -> Result<(SimReport, Option<Timeline>), SimError> {
-    let out = machine::Machine::new_observed(*cfg, trace, obs)?.run()?;
+    let out = machine::Machine::new_observed(*cfg, trace.into(), obs)?.run()?;
     Ok((out.report, out.timeline))
 }
 
@@ -128,12 +136,12 @@ pub fn simulate_observed(
 /// # Errors
 ///
 /// Same failure modes as [`simulate_prevalidated`].
-pub fn simulate_observed_prevalidated(
+pub fn simulate_observed_prevalidated<'a>(
     cfg: &SimConfig,
-    trace: &Trace,
+    trace: impl Into<PreparedTrace<'a>>,
     obs: Observability,
 ) -> Result<(SimReport, Option<Timeline>), SimError> {
-    let out = machine::Machine::new_prevalidated_observed(*cfg, trace, obs)?.run()?;
+    let out = machine::Machine::new_prevalidated_observed(*cfg, trace.into(), obs)?.run()?;
     Ok((out.report, out.timeline))
 }
 
@@ -146,8 +154,11 @@ pub fn simulate_observed_prevalidated(
 /// # Errors
 ///
 /// Same failure modes as [`simulate`] except [`SimError::InvalidTrace`].
-pub fn simulate_prevalidated(cfg: &SimConfig, trace: &Trace) -> Result<SimReport, SimError> {
-    Ok(machine::Machine::new_prevalidated(*cfg, trace)?.run()?.report)
+pub fn simulate_prevalidated<'a>(
+    cfg: &SimConfig,
+    trace: impl Into<PreparedTrace<'a>>,
+) -> Result<SimReport, SimError> {
+    Ok(machine::Machine::new_prevalidated(*cfg, trace.into())?.run()?.report)
 }
 
 /// [`simulate_counted`] on a caller-validated trace — the combination the
@@ -157,11 +168,11 @@ pub fn simulate_prevalidated(cfg: &SimConfig, trace: &Trace) -> Result<SimReport
 /// # Errors
 ///
 /// Same failure modes as [`simulate_prevalidated`].
-pub fn simulate_counted_prevalidated(
+pub fn simulate_counted_prevalidated<'a>(
     cfg: &SimConfig,
-    trace: &Trace,
+    trace: impl Into<PreparedTrace<'a>>,
 ) -> Result<(SimReport, u64), SimError> {
-    let out = machine::Machine::new_prevalidated(*cfg, trace)?.run()?;
+    let out = machine::Machine::new_prevalidated(*cfg, trace.into())?.run()?;
     Ok((out.report, out.events))
 }
 
@@ -193,9 +204,9 @@ pub struct SampledRun {
 ///
 /// Same failure modes as [`simulate`], plus [`SimError::InvalidTrace`]-style
 /// validation of the plan itself (degenerate plans are rejected).
-pub fn simulate_sampled(
+pub fn simulate_sampled<'a>(
     cfg: &SimConfig,
-    trace: &Trace,
+    trace: impl Into<PreparedTrace<'a>>,
     plan: &SamplePlan,
 ) -> Result<SampledRun, SimError> {
     plan.validate().map_err(SimError::InvalidSamplePlan)?;
@@ -204,7 +215,7 @@ pub fn simulate_sampled(
             "sampled simulation requires warmup_accesses == 0 (warm windows replace it)".into(),
         ));
     }
-    let out = machine::Machine::new(*cfg, trace)?.with_plan(plan.clone()).run()?;
+    let out = machine::Machine::new(*cfg, trace.into())?.with_plan(plan.clone()).run()?;
     Ok(SampledRun { report: out.report, windows: out.windows, events: out.events })
 }
 
@@ -213,9 +224,9 @@ pub fn simulate_sampled(
 /// # Errors
 ///
 /// Same failure modes as [`simulate_sampled`] except trace validation.
-pub fn simulate_sampled_prevalidated(
+pub fn simulate_sampled_prevalidated<'a>(
     cfg: &SimConfig,
-    trace: &Trace,
+    trace: impl Into<PreparedTrace<'a>>,
     plan: &SamplePlan,
 ) -> Result<SampledRun, SimError> {
     plan.validate().map_err(SimError::InvalidSamplePlan)?;
@@ -224,14 +235,15 @@ pub fn simulate_sampled_prevalidated(
             "sampled simulation requires warmup_accesses == 0 (warm windows replace it)".into(),
         ));
     }
-    let out = machine::Machine::new_prevalidated(*cfg, trace)?.with_plan(plan.clone()).run()?;
+    let out =
+        machine::Machine::new_prevalidated(*cfg, trace.into())?.with_plan(plan.clone()).run()?;
     Ok(SampledRun { report: out.report, windows: out.windows, events: out.events })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charlie_trace::{Addr, TraceBuilder};
+    use charlie_trace::{Addr, Trace, TraceBuilder};
 
     fn cfg(n: usize) -> SimConfig {
         SimConfig { num_procs: n, ..SimConfig::default() }

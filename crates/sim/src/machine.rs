@@ -37,8 +37,8 @@ use crate::sync::{BarrierState, LockTable};
 use charlie_bus::{Bus, GrantOutcome, Priority, TxnId};
 use charlie_cache::protocol::{self, BusOp, LocalAction};
 use charlie_cache::{CacheArray, Probe};
-use charlie_prefetch::{new_prefetcher, Prefetcher};
-use charlie_trace::{Access, LineAddr, ProcId, Trace, TraceEvent};
+use charlie_prefetch::{new_prefetcher, PreparedTrace, Prefetcher, ProcStream};
+use charlie_trace::{Access, LineAddr, ProcId, TraceEvent};
 use crate::wheel::EventWheel;
 use fxhash::FxHashSet;
 
@@ -159,7 +159,9 @@ struct HwState {
 /// The complete simulated machine for one run.
 pub(crate) struct Machine<'t> {
     cfg: SimConfig,
-    trace: &'t Trace,
+    /// Each processor's input: its raw events with the prefetch plan's
+    /// insertions merged in as they are read (`Proc::cursor`).
+    streams: Vec<ProcStream<'t>>,
     heap: EventWheel<EventKind>,
     seq: u64,
     procs: Vec<Proc>,
@@ -257,13 +259,13 @@ pub(crate) struct MachineOutput {
 }
 
 impl<'t> Machine<'t> {
-    pub(crate) fn new(cfg: SimConfig, trace: &'t Trace) -> Result<Self, SimError> {
+    pub(crate) fn new(cfg: SimConfig, trace: PreparedTrace<'t>) -> Result<Self, SimError> {
         Machine::new_observed(cfg, trace, Observability::default())
     }
 
     pub(crate) fn new_observed(
         cfg: SimConfig,
-        trace: &'t Trace,
+        trace: PreparedTrace<'t>,
         obs: Observability,
     ) -> Result<Self, SimError> {
         trace.validate().map_err(SimError::InvalidTrace)?;
@@ -272,13 +274,16 @@ impl<'t> Machine<'t> {
 
     /// [`Machine::new`] without the `trace.validate()` pass — the caller
     /// vouches the trace already passed validation (shared-trace batch path).
-    pub(crate) fn new_prevalidated(cfg: SimConfig, trace: &'t Trace) -> Result<Self, SimError> {
+    pub(crate) fn new_prevalidated(
+        cfg: SimConfig,
+        trace: PreparedTrace<'t>,
+    ) -> Result<Self, SimError> {
         Machine::new_prevalidated_observed(cfg, trace, Observability::default())
     }
 
     pub(crate) fn new_prevalidated_observed(
         cfg: SimConfig,
-        trace: &'t Trace,
+        trace: PreparedTrace<'t>,
         obs: Observability,
     ) -> Result<Self, SimError> {
         if trace.num_procs() != cfg.num_procs {
@@ -309,7 +314,7 @@ impl<'t> Machine<'t> {
         };
         Ok(Machine {
             cfg,
-            trace,
+            streams: (0..n).map(|p| trace.proc(p)).collect(),
             // Live events are bounded by roughly one wake per processor
             // plus one completion per in-flight transaction plus the single
             // bus check: pre-size so steady state never reallocates.
@@ -400,7 +405,7 @@ impl<'t> Machine<'t> {
                 self.sample_tick(time);
             }
             if debug && events_processed.is_multiple_of(1 << 22) {
-                let cursors: Vec<usize> = self.procs.iter().map(|p| p.cursor).collect();
+                let cursors: Vec<usize> = self.procs.iter().map(|p| p.cursor.position()).collect();
                 let statuses: Vec<String> =
                     self.procs.iter().map(|p| format!("{:?}", p.status)).collect();
                 eprintln!(
@@ -413,7 +418,7 @@ impl<'t> Machine<'t> {
             // Watchdog: a deterministic event budget catches livelocked or
             // runaway runs that would otherwise wedge a whole batch.
             if events_processed > self.event_budget {
-                let retired: u64 = self.procs.iter().map(|p| p.cursor as u64).sum();
+                let retired: u64 = self.procs.iter().map(|p| p.cursor.position() as u64).sum();
                 let blocked = self
                     .procs
                     .iter()
@@ -431,7 +436,8 @@ impl<'t> Machine<'t> {
             if events_processed & 0xFFF == 0 {
                 if let Some(deadline) = self.wall_deadline {
                     if std::time::Instant::now() >= deadline {
-                        let retired: u64 = self.procs.iter().map(|p| p.cursor as u64).sum();
+                        let retired: u64 =
+                            self.procs.iter().map(|p| p.cursor.position() as u64).sum();
                         let blocked = self
                             .procs
                             .iter()
@@ -764,7 +770,7 @@ impl<'t> Machine<'t> {
     }
 
     fn dispatch_trace_event(&mut self, p: usize) -> Flow {
-        let Some(&ev) = self.trace.proc(p).events().get(self.procs[p].cursor) else {
+        let Some(ev) = self.streams[p].get(self.procs[p].cursor) else {
             return Flow::Finished;
         };
         match ev {
@@ -772,7 +778,7 @@ impl<'t> Machine<'t> {
                 let proc = &mut self.procs[p];
                 proc.t += u64::from(n);
                 proc.stats.busy_cycles += u64::from(n);
-                proc.cursor += 1;
+                self.advance_cursor(p);
                 Flow::Continue
             }
             TraceEvent::Access(a) => {
@@ -809,6 +815,11 @@ impl<'t> Machine<'t> {
                 Flow::Continue
             }
         }
+    }
+
+    /// Retires the trace event at `p`'s cursor.
+    fn advance_cursor(&mut self, p: usize) {
+        self.streams[p].advance(&mut self.procs[p].cursor);
     }
 
     fn charge_dispatch_cycle(&mut self, p: usize) {
@@ -850,7 +861,7 @@ impl<'t> Machine<'t> {
                     tr.prefetch_with(t, p, line, "executed", "outcome", outcome);
                 }
             }
-            self.procs[p].cursor += 1;
+            self.advance_cursor(p);
             return Flow::Continue;
         }
         if self.ff_ready(line) {
@@ -893,7 +904,7 @@ impl<'t> Machine<'t> {
             .insert(line, OutstandingPrefetch { txn, cpu_waiting: false, hw: false });
         self.verify_prefetch_buffer(p);
         self.schedule_bus_check(now);
-        self.procs[p].cursor += 1;
+        self.advance_cursor(p);
         Flow::Continue
     }
 
@@ -989,8 +1000,20 @@ impl<'t> Machine<'t> {
     /// A demand access touched `line` in processor `p`'s cache: if a
     /// hardware prefetch brought it in and it had not been used yet, that
     /// prefetch graduates to `useful`.
-    fn hw_note_useful(&mut self, p: usize, line: LineAddr, now: u64) {
+    ///
+    /// Every line in `unused[p]` was filled by a prefetch and not used
+    /// since: invalidation and eviction remove it under that same frame
+    /// condition. So a hit on any other frame skips the set lookup.
+    fn hw_note_useful(&mut self, p: usize, line: LineAddr, way: u32, now: u64) {
         let Some(hw) = self.hw.as_mut() else { return };
+        let frame = self.caches[p].frame(line, way);
+        if !frame.filled_by_prefetch() || frame.used_since_fill() {
+            debug_assert!(
+                !hw.unused[p].contains(&line),
+                "unused hardware prefetch {line:?} on a used or demand-filled frame"
+            );
+            return;
+        }
         if hw.unused[p].remove(&line) {
             self.tallies.hw.useful += 1;
             if let Some(tr) = &mut self.tracer {
@@ -1020,7 +1043,7 @@ impl<'t> Machine<'t> {
                         }
                     }
                     if self.hw.is_some() {
-                        self.hw_note_useful(p, line, now);
+                        self.hw_note_useful(p, line, way, now);
                     }
                     let frame = self.caches[p].frame_mut(line, way);
                     if is_write {
@@ -1048,7 +1071,7 @@ impl<'t> Machine<'t> {
                     if pa.update_complete {
                         debug_assert!(self.cfg.protocol.is_update_based());
                         if self.hw.is_some() {
-                            self.hw_note_useful(p, line, now);
+                            self.hw_note_useful(p, line, way, now);
                         }
                         let frame = self.caches[p].frame_mut(line, way);
                         frame.record_access(word, state);
@@ -1309,7 +1332,7 @@ impl<'t> Machine<'t> {
         }
         self.install_fill(p, line, op, others, true, now);
         self.verify_line(line);
-        self.procs[p].cursor += 1;
+        self.advance_cursor(p);
         Flow::Continue
     }
 
@@ -1407,7 +1430,7 @@ impl<'t> Machine<'t> {
         let t = self.procs[p].t;
         match pa.purpose {
             Purpose::Demand | Purpose::LockAcquireWrite(_) | Purpose::BarrierLeaveRead(_) => {
-                self.procs[p].cursor += 1;
+                self.advance_cursor(p);
                 Flow::Continue
             }
             Purpose::LockSpinRead(id) => {
@@ -1442,7 +1465,7 @@ impl<'t> Machine<'t> {
                         self.procs[q].early_release = true;
                     }
                 }
-                self.procs[p].cursor += 1;
+                self.advance_cursor(p);
                 Flow::Continue
             }
             Purpose::BarrierArriveWrite(id) => {
@@ -1493,7 +1516,7 @@ impl<'t> Machine<'t> {
                     }
                 }
                 self.barrier_scratch = waiters;
-                self.procs[p].cursor += 1;
+                self.advance_cursor(p);
                 Flow::Continue
             }
         }

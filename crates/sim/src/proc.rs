@@ -2,6 +2,7 @@
 
 use crate::metrics::ProcStats;
 use charlie_bus::TxnId;
+use charlie_prefetch::StreamCursor;
 use charlie_trace::{Access, BarrierId, LineAddr, LockId};
 
 /// Why the current in-flight access is being performed. Trace accesses carry
@@ -136,8 +137,9 @@ impl PrefetchWindow {
 pub(crate) struct Proc {
     /// Local time (never behind the event that woke the processor).
     pub t: u64,
-    /// Index of the next trace event to dispatch.
-    pub cursor: usize,
+    /// Position of the next trace event to dispatch in the processor's
+    /// merged input stream.
+    pub cursor: StreamCursor,
     /// Access currently being retired, if any.
     pub pending: Option<PendingAccess>,
     /// Scheduling status.

@@ -7,7 +7,7 @@
 //! ```
 
 use charlie::cache::CacheGeometry;
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, SimConfig};
 use charlie::trace::{Addr, TraceBuilder};
 
@@ -63,9 +63,11 @@ fn main() {
     let geometry = CacheGeometry::paper_default();
     let cfg = SimConfig { num_procs: PROCS, ..SimConfig::default() };
     let mut np_cycles = None;
+    let marks = TraceMarks::new(&trace, geometry);
     for strategy in Strategy::ALL {
-        let prepared = apply(strategy, &trace, geometry);
-        let report = simulate(&cfg, &prepared).expect("simulation succeeds");
+        let plan = marks.plan(&trace, strategy);
+        let prepared = PreparedTrace::new(&trace, &plan);
+        let report = simulate(&cfg, prepared).expect("simulation succeeds");
         np_cycles.get_or_insert(report.cycles);
         println!(
             "{:<6} {:>10} {:>8.2}% {:>9.2}% {:>9.2} {:>10}",

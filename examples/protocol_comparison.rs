@@ -7,7 +7,7 @@
 //! ```
 
 use charlie::cache::CacheGeometry;
-use charlie::prefetch::{apply, Strategy};
+use charlie::prefetch::{PreparedTrace, Strategy, TraceMarks};
 use charlie::sim::{simulate, Protocol, SimConfig};
 use charlie::workloads::{generate, Workload, WorkloadConfig};
 
@@ -15,7 +15,8 @@ fn main() {
     let wcfg = WorkloadConfig { refs_per_proc: 40_000, ..WorkloadConfig::default() };
     let workload = Workload::Pverify;
     let raw = generate(workload, &wcfg);
-    let pref = apply(Strategy::Pref, &raw, CacheGeometry::paper_default());
+    let plan = TraceMarks::new(&raw, CacheGeometry::paper_default()).plan(&raw, Strategy::Pref);
+    let pref = PreparedTrace::new(&raw, &plan);
 
     println!("{workload} on the 8-cycle bus — four machines, same trace:\n");
     println!(
@@ -34,7 +35,7 @@ fn main() {
         ),
     ];
     for (label, cfg) in machines {
-        let r = simulate(&cfg, &pref).expect("simulation succeeds");
+        let r = simulate(&cfg, pref).expect("simulation succeeds");
         println!(
             "{label:<34} {:>10} {:>8.2}% {:>9.2}% {:>9.2}",
             r.cycles,
