@@ -88,7 +88,12 @@ echo "== perfbench grids reproduce their reference checksums =="
 # perfbench/reference.json: the streamed prefetch plans are pinned under
 # exact Illinois (exact_grid) and under MOESI + stride hardware prefetch +
 # SMARTS sampling (sampled_grid). The run must exit 0 and report
-# "correct": true.
+# "correct": true. Its peak resident set must also stay under a ceiling:
+# a batch holds one raw trace per worker (generated at first use, dropped
+# after its last cell), so peak memory follows the work in flight, not the
+# campaign. It reads about 30 MB (sampled_grid) and 11 MB (exact_grid);
+# holding every trace of the grid at once read 186 MB and 42 MB.
+declare -A rss_ceiling_mb=([exact_grid]=24 [sampled_grid]=64)
 for workload in exact_grid sampled_grid; do
     if ! bench_out=$(env GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 \
         cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
@@ -102,7 +107,15 @@ for workload in exact_grid sampled_grid; do
         echo "$bench_out" >&2
         exit 1
     fi
-    echo "perfbench $workload: correct"
+    rss=$(awk '$1 == "peak_rss_mb" { print $2 }' <<<"$bench_out")
+    if [ -z "$rss" ] || ! awk -v rss="$rss" -v cap="${rss_ceiling_mb[$workload]}" \
+        'BEGIN { exit !(rss <= cap) }'; then
+        echo "FAIL: perfbench $workload peak_rss_mb ${rss:-missing}" \
+            "exceeds ${rss_ceiling_mb[$workload]} MB:" >&2
+        echo "$bench_out" >&2
+        exit 1
+    fi
+    echo "perfbench $workload: correct, peak_rss_mb $rss"
 done
 
 echo "== quick-bench smoke vs checked-in baseline =="

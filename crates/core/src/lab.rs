@@ -471,17 +471,31 @@ fn run_on_prepared(
     Ok(RunSummary { experiment: exp, report, prefetches_inserted, timeline, sampled: None })
 }
 
-/// Runs one experiment under `cfg`, independent of any lab. This is the
-/// unit of work both the serial and the parallel paths execute; it touches
-/// no shared state, which is what makes [`Lab::run_batch`] trivially
-/// deterministic.
+/// A raw-trace generator: [`generate`], except in tests that substitute a
+/// failing one.
+type Generator = fn(Workload, &WorkloadConfig) -> Trace;
+
+/// Generates and validates `exp`'s raw trace under `cfg`.
+fn generate_validated(
+    cfg: &RunConfig,
+    generator: Generator,
+    exp: Experiment,
+) -> Result<Trace, RunError> {
+    let raw = generator(exp.workload, &workload_config(cfg, exp.layout));
+    raw.validate().map_err(|e| RunError::Sim(SimError::InvalidTrace(e)))?;
+    Ok(raw)
+}
+
+/// Runs one experiment under `cfg`, independent of any lab: generate,
+/// validate, plan, simulate. It touches no shared state; a batch does the
+/// same work with the raw trace and its marks shared between cells.
 fn run_experiment(
     cfg: &RunConfig,
+    generator: Generator,
     exp: Experiment,
     observe: &ObserveSpec,
 ) -> Result<RunSummary, RunError> {
-    let raw = generate(exp.workload, &workload_config(cfg, exp.layout));
-    raw.validate().map_err(|e| RunError::Sim(SimError::InvalidTrace(e)))?;
+    let raw = generate_validated(cfg, generator, exp)?;
     let plan = TraceMarks::new(&raw, cfg.geometry).plan(&raw, exp.strategy);
     run_on_prepared(cfg, exp, PreparedTrace::new(&raw, &plan), observe)
 }
@@ -518,16 +532,6 @@ fn isolated(
     .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload.as_ref()))))
 }
 
-/// One isolated cell execution: generate, validate, plan, simulate.
-fn run_cell(
-    cfg: &RunConfig,
-    exp: Experiment,
-    injector: Option<&Injector>,
-    observe: &ObserveSpec,
-) -> Result<RunSummary, RunError> {
-    isolated(exp, injector, || run_experiment(cfg, exp, observe))
-}
-
 /// One panic-isolated cell execution independent of any [`Lab`] — the
 /// entry point the serve daemon's worker pool uses. Exactly the unit of
 /// work [`Lab::run_batch`] executes per cell (generate, validate, plan the
@@ -535,7 +539,7 @@ fn run_cell(
 /// one; a panicking cell comes back as [`RunError::Panic`] instead of
 /// unwinding the worker.
 pub fn execute_cell(cfg: &RunConfig, exp: Experiment) -> Result<RunSummary, RunError> {
-    run_cell(cfg, exp, None, &ObserveSpec::default())
+    isolated(exp, None, || run_experiment(cfg, generate, exp, &ObserveSpec::default()))
 }
 
 /// A raw trace with its oracle marks, shared by every strategy and latency
@@ -547,47 +551,105 @@ struct RawTrace {
     marks: OnceLock<TraceMarks>,
 }
 
-/// A batch's slot for one (workload, layout): the raw trace (or the error
-/// generating it), held until the last group that needs it finishes.
-struct SharedRaw {
-    slot: Mutex<RawSlot>,
+/// A batch's raw traces, one slot per (workload, layout). A slot generates
+/// its trace when the first group asks for it and drops it when the last
+/// group releases it, so a batch holds only the traces in use, not every
+/// trace it will need.
+struct RawTraces<'a> {
+    cfg: &'a RunConfig,
+    generator: Generator,
+    slots: HashMap<(Workload, Layout), Mutex<RawSlot>>,
+    #[cfg(test)]
+    counts: Mutex<TraceCounts>,
 }
 
 struct RawSlot {
+    /// `None` until the first group asks; then the trace, or the error
+    /// generating it, until the last group releases it.
     raw: Option<Result<Arc<RawTrace>, RunError>>,
     groups_left: usize,
 }
 
-impl SharedRaw {
-    /// Generates and validates the raw trace for `exp`'s (workload, layout),
-    /// with the same panic isolation as [`run_cell`], for `groups` groups.
-    fn prepare(cfg: &RunConfig, exp: Experiment, groups: usize) -> Self {
-        let raw = catch_unwind(AssertUnwindSafe(|| {
-            let trace = generate(exp.workload, &workload_config(cfg, exp.layout));
-            trace.validate().map_err(|e| RunError::Sim(SimError::InvalidTrace(e)))?;
-            Ok(Arc::new(RawTrace { trace, marks: OnceLock::new() }))
-        }))
-        .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload.as_ref()))));
-        SharedRaw { slot: Mutex::new(RawSlot { raw: Some(raw), groups_left: groups }) }
+/// How a batch's raw traces lived; tests check the lifecycle with it.
+#[cfg(test)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+struct TraceCounts {
+    /// Generations run (successful or not).
+    generated: usize,
+    /// Raw traces resident now.
+    resident: usize,
+    /// High-water mark of `resident`.
+    peak: usize,
+}
+
+#[cfg(test)]
+impl TraceCounts {
+    fn generated(&mut self, resident: bool) {
+        self.generated += 1;
+        self.resident += usize::from(resident);
+        self.peak = self.peak.max(self.resident);
+    }
+}
+
+impl<'a> RawTraces<'a> {
+    /// Empty slots for `groups`, each of which reads the raw trace of its
+    /// first cell's (workload, layout).
+    fn new(cfg: &'a RunConfig, generator: Generator, groups: &[Vec<(usize, Experiment)>]) -> Self {
+        let mut groups_per_raw: HashMap<(Workload, Layout), usize> = HashMap::new();
+        for &(_, first) in groups.iter().map(|g| &g[0]) {
+            *groups_per_raw.entry((first.workload, first.layout)).or_default() += 1;
+        }
+        RawTraces {
+            cfg,
+            generator,
+            slots: groups_per_raw
+                .into_iter()
+                .map(|(key, groups_left)| (key, Mutex::new(RawSlot { raw: None, groups_left })))
+                .collect(),
+            #[cfg(test)]
+            counts: Mutex::default(),
+        }
     }
 
-    /// The slot. Every update (a clone, a decrement, a `take`) leaves it
-    /// whole, so a guard poisoned by another worker's panic is still valid.
-    fn lock(&self) -> MutexGuard<'_, RawSlot> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The slot for `exp`'s raw trace. Every update (a generation, a clone,
+    /// a decrement, a `take`) leaves it whole, so a guard poisoned by
+    /// another worker's panic is still valid.
+    fn lock(&self, exp: Experiment) -> MutexGuard<'_, RawSlot> {
+        self.slots[&(exp.workload, exp.layout)].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The raw trace, for one of the groups that share it.
-    fn get(&self) -> Result<Arc<RawTrace>, RunError> {
-        self.lock().raw.clone().expect("a shared raw trace is dropped only after its last group")
+    /// The raw trace for a group whose first cell is `exp`. The first
+    /// group to ask generates and validates it, under the slot's lock and
+    /// with the same panic isolation as a cell, so a failed generation
+    /// fails exactly the cells of that trace and runs once.
+    fn get(&self, exp: Experiment) -> Result<Arc<RawTrace>, RunError> {
+        let mut slot = self.lock(exp);
+        assert!(slot.groups_left > 0, "a raw trace is asked for only by its own groups");
+        slot.raw
+            .get_or_insert_with(|| {
+                let raw = catch_unwind(AssertUnwindSafe(|| {
+                    let trace = generate_validated(self.cfg, self.generator, exp)?;
+                    Ok(Arc::new(RawTrace { trace, marks: OnceLock::new() }))
+                }))
+                .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload.as_ref()))));
+                #[cfg(test)]
+                self.counts.lock().expect("no panic while counting").generated(raw.is_ok());
+                raw
+            })
+            .clone()
     }
 
-    /// Called once per group when it finishes: the last one drops the trace
-    /// and its marks (freed once that group's handle is gone too).
-    fn release(&self) {
-        let mut slot = self.lock();
+    /// Called once per group when it finishes, with the handle `get` gave
+    /// it: the last group drops the trace and its marks.
+    fn release(&self, exp: Experiment, raw: Result<Arc<RawTrace>, RunError>) {
+        drop(raw);
+        let mut slot = self.lock(exp);
         slot.groups_left -= 1;
         if slot.groups_left == 0 {
+            #[cfg(test)]
+            if let Some(Ok(_)) = slot.raw {
+                self.counts.lock().expect("no panic while counting").resident -= 1;
+            }
             slot.raw = None;
         }
     }
@@ -611,9 +673,11 @@ fn plan_strategy(
 
 /// Memoizing experiment runner.
 ///
-/// Traces are regenerated per run (generation is cheap and deterministic);
-/// completed [`RunSummary`]s are cached, so the table/figure reproductions
-/// can share the underlying runs.
+/// Completed [`RunSummary`]s are cached, so the table/figure reproductions
+/// can share the underlying runs. A batch ([`Lab::run_batch`]) shares one
+/// raw trace among all the cells of a (workload, layout): it is generated
+/// when the first of them starts and dropped when the last one finishes.
+/// A serial [`Lab::run`] generates its own.
 pub struct Lab {
     cfg: RunConfig,
     runs: HashMap<Experiment, RunSummary>,
@@ -621,6 +685,10 @@ pub struct Lab {
     stats: LabStats,
     injector: Option<Box<Injector>>,
     observe: ObserveSpec,
+    generator: Generator,
+    /// The raw-trace lifecycle of the last batch.
+    #[cfg(test)]
+    trace_counts: TraceCounts,
 }
 
 impl Lab {
@@ -633,6 +701,9 @@ impl Lab {
             stats: LabStats::default(),
             injector: None,
             observe: ObserveSpec::default(),
+            generator: generate,
+            #[cfg(test)]
+            trace_counts: TraceCounts::default(),
         }
     }
 
@@ -674,13 +745,20 @@ impl Lab {
         }
         self.stats.memo_misses += 1;
         let started = Instant::now();
-        let summary = run_cell(&self.cfg, exp, self.injector.as_deref(), &self.observe)?;
+        let summary = self.run_cell(exp)?;
         self.meta.insert(
             exp,
             RunMeta { wall_nanos: started.elapsed().as_nanos(), worker: 0, via_batch: false },
         );
         self.runs.insert(exp, summary);
         Ok(())
+    }
+
+    /// One isolated cell execution: generate, validate, plan, simulate.
+    fn run_cell(&self, exp: Experiment) -> Result<RunSummary, RunError> {
+        isolated(exp, self.injector.as_deref(), || {
+            run_experiment(&self.cfg, self.generator, exp, &self.observe)
+        })
     }
 
     /// Runs (or returns the cached result of) `exp`.
@@ -720,9 +798,16 @@ impl Lab {
     /// available core), and merges the results into the memo.
     ///
     /// Results are bit-identical to running each experiment through
-    /// [`Lab::run`]: every run regenerates its own trace from the lab seed
-    /// and simulates it in isolation, so neither worker count nor
+    /// [`Lab::run`]: cells share a raw trace, its oracle marks and a
+    /// strategy's prefetch plan, all deterministic functions of the lab
+    /// seed, and each simulates in isolation, so neither worker count nor
     /// completion order can influence any report.
+    ///
+    /// Memory follows the work in flight. Each raw trace is generated when
+    /// the first cell that needs it starts, not before the batch, and
+    /// dropped when the last one finishes; cells run grouped by trace, so
+    /// a batch holds at most one raw trace per worker whatever order `exps`
+    /// lists them in. Generation is charged to no cell's [`RunMeta`].
     ///
     /// A batch never aborts: failed cells (panic, simulator error, watchdog
     /// trip) are isolated, re-run once serially to classify the failure, and
@@ -777,8 +862,11 @@ impl Lab {
         // plans from it), and plans each strategy once per group, instead
         // of redoing all three for every cell.
         let mut group_of: HashMap<(Workload, Layout, Strategy), usize> = HashMap::new();
+        let mut trace_rank: HashMap<(Workload, Layout), usize> = HashMap::new();
         let mut groups: Vec<Vec<(usize, Experiment)>> = Vec::new();
         for (i, &exp) in todo.iter().enumerate() {
+            let rank = trace_rank.len();
+            trace_rank.entry((exp.workload, exp.layout)).or_insert(rank);
             let g = *group_of.entry((exp.workload, exp.layout, exp.strategy)).or_insert_with(
                 || {
                     groups.push(Vec::new());
@@ -787,25 +875,18 @@ impl Lab {
             );
             groups[g].push((i, exp));
         }
+        // Trace-major: the groups of one raw trace run back to back (in
+        // order of first appearance), so with workers taking groups in
+        // order a trace's lifetime spans only its own groups. Results merge
+        // by `todo` index, so the order here never shows in any output.
+        groups.sort_by_key(|g| trace_rank[&(g[0].1.workload, g[0].1.layout)]);
 
         let jobs = Self::resolve_jobs(jobs).min(groups.len().max(1));
         let cfg = &self.cfg;
         let injector = self.injector.as_deref();
         let observe = &self.observe;
-
-        // One slot per raw trace; a failed generation fails exactly the
-        // cells that would have used that trace. The last group of a raw
-        // trace drops it, so a batch holds only the traces still to run.
-        let mut groups_per_raw: HashMap<(Workload, Layout), usize> = HashMap::new();
-        for &(_, first) in groups.iter().map(|g| &g[0]) {
-            *groups_per_raw.entry((first.workload, first.layout)).or_default() += 1;
-        }
-        let mut shared: HashMap<(Workload, Layout), SharedRaw> = HashMap::new();
-        for &exp in &todo {
-            let key = (exp.workload, exp.layout);
-            shared.entry(key).or_insert_with(|| SharedRaw::prepare(cfg, exp, groups_per_raw[&key]));
-        }
-        let shared = &shared;
+        let traces = RawTraces::new(cfg, self.generator, &groups);
+        let traces = &traces;
 
         // `parallel::map_observed` returns results in submission order, so
         // the merge below is deterministic regardless of worker scheduling;
@@ -817,9 +898,10 @@ impl Lab {
             jobs,
             |worker, group| {
                 let (_, first) = group[0];
-                let slot = &shared[&(first.workload, first.layout)];
+                // Generating the trace (or waiting for the worker that is)
+                // is charged to no cell: it stays in the batch's setup.
+                let raw = traces.get(first);
                 let plan_start = Instant::now();
-                let raw = slot.get();
                 let plan = match &raw {
                     Ok(raw) => plan_strategy(first.strategy, raw, cfg.geometry),
                     Err(error) => Err(error.clone()),
@@ -843,7 +925,7 @@ impl Lab {
                         (i, outcome, nanos, worker)
                     })
                     .collect::<Vec<_>>();
-                slot.release();
+                traces.release(first, raw);
                 cells
             },
             |_, cells| {
@@ -856,6 +938,11 @@ impl Lab {
                 }
             },
         );
+
+        #[cfg(test)]
+        {
+            self.trace_counts = *traces.counts.lock().expect("no panic while counting");
+        }
 
         // Flatten back to `todo` order (groups interleave cells).
         let mut results: Vec<Option<(Result<RunSummary, RunError>, u128, usize)>> =
@@ -900,8 +987,7 @@ impl Lab {
                         if transient {
                             std::thread::sleep(policy.delay(attempt, salt));
                         }
-                        match run_cell(&self.cfg, exp, self.injector.as_deref(), &self.observe)
-                        {
+                        match self.run_cell(exp) {
                             Ok(summary) => {
                                 recovered = Some(summary);
                                 break;
@@ -1105,6 +1191,74 @@ mod tests {
         match lab.try_run(exp) {
             Err(RunError::Trace(msg)) => assert!(msg.contains("trace file"), "{msg}"),
             other => panic!("expected trace error, got {other:?}"),
+        }
+    }
+
+    /// Strategy-major cells: every (workload, layout) recurs once per
+    /// strategy, the order that makes a batch hold every trace at once
+    /// unless it runs trace-major.
+    fn strategy_major_cells() -> Vec<Experiment> {
+        let mut cells = Vec::new();
+        for strategy in Strategy::ALL {
+            for workload in [Workload::Water, Workload::Mp3d, Workload::Topopt] {
+                for transfer in [8, 32] {
+                    cells.push(Experiment::paper(workload, strategy, transfer));
+                }
+            }
+            cells.push(Experiment::paper(Workload::Topopt, strategy, 8).restructured());
+        }
+        cells
+    }
+
+    #[test]
+    fn batch_generates_each_trace_once_and_holds_one_per_worker() {
+        let cells = strategy_major_cells();
+        let mut workload_major = cells.clone();
+        workload_major.sort_by_key(|e| (e.workload as usize, e.layout as usize));
+        let mut reference = tiny_lab();
+        assert!(reference.run_batch(&workload_major, 1).is_complete());
+        for jobs in [1, 2] {
+            let mut lab = tiny_lab();
+            let report = lab.run_batch(&cells, jobs);
+            assert!(report.is_complete(), "jobs {jobs}: {:?}", report.failure_summary());
+            let counts = lab.trace_counts;
+            assert_eq!(counts.generated, 4, "jobs {jobs}: one generation per (workload, layout)");
+            assert!(counts.peak <= jobs, "jobs {jobs}: {} raw traces resident", counts.peak);
+            assert_eq!(counts.resident, 0, "jobs {jobs}: every trace dropped by the batch's end");
+            for &exp in &cells {
+                assert_eq!(lab.runs[&exp], reference.runs[&exp], "jobs {jobs}: {exp}");
+            }
+        }
+    }
+
+    fn mp3d_generator_panics(workload: Workload, cfg: &WorkloadConfig) -> Trace {
+        assert!(workload != Workload::Mp3d, "generator blew up");
+        generate(workload, cfg)
+    }
+
+    #[test]
+    fn panicking_generator_fails_exactly_its_traces_cells() {
+        let cells = strategy_major_cells();
+        let mut healthy = tiny_lab();
+        let mut lab = tiny_lab();
+        lab.generator = mp3d_generator_panics;
+        // The generator's panics print to stderr via the default hook;
+        // silence it for the duration so test output stays readable.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = lab.run_batch(&cells, 2);
+        std::panic::set_hook(hook);
+        assert_eq!(lab.trace_counts.generated, 4, "a failed generation is not retried in-batch");
+        let failed: Vec<Experiment> = report.failures.iter().map(|f| f.experiment).collect();
+        let mp3d: Vec<Experiment> =
+            cells.iter().copied().filter(|e| e.workload == Workload::Mp3d).collect();
+        assert_eq!(failed, mp3d);
+        for failure in &report.failures {
+            assert_eq!(failure.error, RunError::Panic("generator blew up".into()));
+            assert_eq!(failure.retry, RetryOutcome::Reproduced);
+        }
+        for exp in cells.into_iter().filter(|e| e.workload != Workload::Mp3d) {
+            assert_eq!(&lab.runs[&exp], healthy.run(exp), "{exp}");
         }
     }
 

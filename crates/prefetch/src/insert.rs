@@ -93,7 +93,7 @@ mod tests {
     use charlie_trace::{Addr, BarrierId, TraceEvent};
 
     fn read(a: u64) -> TraceEvent {
-        TraceEvent::Access(Access::read(Addr::new(a)))
+        TraceEvent::from(Access::read(Addr::new(a)))
     }
 
     /// Places prefetches for the accesses at `marked` (shared mode) and
@@ -174,7 +174,7 @@ mod tests {
     fn exclusive_flag_propagates() {
         let stream = ProcTrace::from_events(vec![
             TraceEvent::Work(10),
-            TraceEvent::Access(Access::write(Addr::new(0x40))),
+            TraceEvent::from(Access::write(Addr::new(0x40))),
         ]);
         let (inserts, _) = place(&stream, &[1], 100, |_, a| a.kind.is_write());
         assert_eq!(inserts.len(), 1);

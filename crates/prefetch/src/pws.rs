@@ -28,8 +28,10 @@ pub(crate) fn pws_extra(
     );
     let mut filter = FilterCache::pws_default();
     marked_indices(stream, |ev| match ev {
-        TraceEvent::Access(a) if sharing.is_write_shared(a.addr.line(geometry.block_bytes())) => {
-            !filter.access(a.addr)
+        TraceEvent::Access { addr, .. }
+            if sharing.is_write_shared(addr.line(geometry.block_bytes())) =>
+        {
+            !filter.access(*addr)
         }
         _ => false,
     })

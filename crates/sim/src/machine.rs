@@ -240,7 +240,8 @@ pub(crate) struct Machine<'t> {
     /// without a plan, so the detailed path is untouched.
     ff_active: bool,
     /// Transactions registered but not yet completed; lets the fast-forward
-    /// conflict check skip the slab scan in the (dominant) drained case.
+    /// conflict check skip the slab scan in the (dominant) drained case, and
+    /// is the sampler's `outstanding_txns` gauge.
     live_txns: usize,
     /// Reusable barrier-release buffer: `retire_pending` drains the barrier
     /// waiter list into this instead of allocating a fresh `Vec` per
@@ -510,9 +511,14 @@ impl<'t> Machine<'t> {
 
     /// Reads the instantaneous gauges recorded at a window close.
     fn gauges(&self) -> Gauges {
+        debug_assert_eq!(
+            self.live_txns,
+            self.txns.iter().filter(|t| t.is_some()).count(),
+            "live_txns must count the occupied transaction slots"
+        );
         Gauges {
             bus_pending: self.bus.pending(),
-            outstanding_txns: self.txns.iter().filter(|t| t.is_some()).count(),
+            outstanding_txns: self.live_txns,
             prefetch_buffer: self.procs.iter().map(|p| p.outstanding.len()).sum(),
         }
     }
@@ -781,8 +787,9 @@ impl<'t> Machine<'t> {
                 self.advance_cursor(p);
                 Flow::Continue
             }
-            TraceEvent::Access(a) => {
-                self.procs[p].pending = Some(PendingAccess::new(a, Purpose::Demand));
+            TraceEvent::Access { addr, kind } => {
+                self.procs[p].pending =
+                    Some(PendingAccess::new(Access { addr, kind }, Purpose::Demand));
                 Flow::Continue
             }
             TraceEvent::Prefetch { addr, exclusive } => self.dispatch_prefetch(p, addr, exclusive),
@@ -1691,11 +1698,12 @@ impl<'t> Machine<'t> {
                 self.txns[id.index()].as_mut().expect("registered").others_have_copy = others;
             }
             TxnAction::Upgrade { proc, .. } => {
-                // If a remote write beat this upgrade to the bus, the line is
-                // gone: abort (the store will retry as a miss). Cannot
-                // happen under write-update, where nothing invalidates.
+                // If the line left the cache while this upgrade queued, abort
+                // (the store will retry as a miss). A remote write that beat
+                // it to the bus invalidates the line; under every protocol,
+                // write-update included, the writer's own prefetch fill
+                // (software or hardware) into the same set can evict it.
                 if self.caches[proc.index()].state_of(line).is_none() {
-                    debug_assert!(!self.cfg.protocol.is_update_based());
                     self.tallies.upgrades_aborted += 1;
                     self.txns[id.index()].as_mut().expect("registered").aborted = true;
                     return;

@@ -292,8 +292,9 @@ pub struct SimReport {
     pub false_sharing_misses: u64,
     /// Write hits on shared lines that required an invalidating upgrade.
     pub upgrades: u64,
-    /// Upgrades that aborted because the line was invalidated while the
-    /// upgrade was queued (the write then retries as a miss).
+    /// Upgrades that aborted because the line was invalidated, or evicted
+    /// by the writer's own prefetch fill, while the upgrade was queued (the
+    /// write then retries as a miss).
     pub upgrades_aborted: u64,
     /// Demand fills re-issued because the filled line was invalidated by a
     /// remote write before the stalled access could retire. The miss is

@@ -65,19 +65,19 @@ impl ProcTraceBuilder<'_> {
 
     /// Appends a read of `addr`.
     pub fn read(&mut self, addr: Addr) -> &mut Self {
-        self.stream.push(TraceEvent::Access(Access::read(addr)));
+        self.stream.push(Access::read(addr).into());
         self
     }
 
     /// Appends a write of `addr`.
     pub fn write(&mut self, addr: Addr) -> &mut Self {
-        self.stream.push(TraceEvent::Access(Access::write(addr)));
+        self.stream.push(Access::write(addr).into());
         self
     }
 
     /// Appends an arbitrary access.
     pub fn access(&mut self, access: Access) -> &mut Self {
-        self.stream.push(TraceEvent::Access(access));
+        self.stream.push(access.into());
         self
     }
 

@@ -90,9 +90,9 @@ pub fn write_trace<W: Write>(trace: &Trace, mut out: W) -> std::io::Result<()> {
         for ev in stream.events() {
             match ev {
                 TraceEvent::Work(n) => writeln!(out, "w {n}")?,
-                TraceEvent::Access(a) => {
-                    let tag = if a.kind.is_write() { 'W' } else { 'r' };
-                    writeln!(out, "{tag} {:#x}", a.addr.raw())?;
+                TraceEvent::Access { addr, kind } => {
+                    let tag = if kind.is_write() { 'W' } else { 'r' };
+                    writeln!(out, "{tag} {:#x}", addr.raw())?;
                 }
                 TraceEvent::Prefetch { addr, exclusive } => {
                     let tag = if *exclusive { 'P' } else { 'p' };
@@ -244,8 +244,8 @@ pub fn read_trace<R: BufRead>(input: R) -> Result<Trace, ReadTraceError> {
         };
         let ev = match tag {
             "w" => TraceEvent::Work(arg("work cycles")? as u32),
-            "r" => TraceEvent::Access(Access::read(Addr::new(arg("address")?))),
-            "W" => TraceEvent::Access(Access::write(Addr::new(arg("address")?))),
+            "r" => Access::read(Addr::new(arg("address")?)).into(),
+            "W" => Access::write(Addr::new(arg("address")?)).into(),
             "p" => TraceEvent::Prefetch { addr: Addr::new(arg("address")?), exclusive: false },
             "P" => TraceEvent::Prefetch { addr: Addr::new(arg("address")?), exclusive: true },
             "l" => TraceEvent::LockAcquire(LockId(arg("lock id")? as u32)),

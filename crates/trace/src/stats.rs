@@ -30,8 +30,8 @@ impl ProcTraceStats {
         for ev in stream.events() {
             match ev {
                 TraceEvent::Work(n) => s.work_cycles += u64::from(*n),
-                TraceEvent::Access(a) => {
-                    if a.kind.is_write() {
+                TraceEvent::Access { kind, .. } => {
+                    if kind.is_write() {
                         s.writes += 1;
                     } else {
                         s.reads += 1;

@@ -261,7 +261,7 @@ mod tests {
     use crate::event::{BarrierId, LockId};
 
     fn acc(a: u64) -> TraceEvent {
-        TraceEvent::Access(Access::read(Addr::new(a)))
+        TraceEvent::from(Access::read(Addr::new(a)))
     }
 
     #[test]

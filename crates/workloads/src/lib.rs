@@ -356,9 +356,9 @@ mod tests {
                         eat(&[1]);
                         eat(&n.to_le_bytes());
                     }
-                    TraceEvent::Access(a) => {
-                        eat(&[if a.kind.is_write() { 3 } else { 2 }]);
-                        eat(&a.addr.raw().to_le_bytes());
+                    TraceEvent::Access { addr, kind } => {
+                        eat(&[if kind.is_write() { 3 } else { 2 }]);
+                        eat(&addr.raw().to_le_bytes());
                     }
                     TraceEvent::Prefetch { addr, exclusive } => {
                         eat(&[4, u8::from(*exclusive)]);

@@ -210,14 +210,14 @@ fn reference_marks(strategy: Strategy, trace: &Trace, geometry: CacheGeometry) -
         let mut marks: Vec<Mark> = events
             .iter()
             .map(|ev| match ev {
-                TraceEvent::Access(a) => {
-                    let miss = !oracle.access(a.addr);
+                TraceEvent::Access { addr, kind } => {
+                    let miss = !oracle.access(*addr);
                     let extra = strategy.prefetches_write_shared()
-                        && sharing.is_write_shared(a.addr.line(geometry.block_bytes()))
-                        && !pws.access(a.addr);
+                        && sharing.is_write_shared(addr.line(geometry.block_bytes()))
+                        && !pws.access(*addr);
                     Mark {
                         prefetch: miss || extra,
-                        exclusive: strategy.exclusive_writes() && a.kind.is_write(),
+                        exclusive: strategy.exclusive_writes() && kind.is_write(),
                     }
                 }
                 _ => Mark::default(),
@@ -267,7 +267,7 @@ fn reference_insert(stream: &ProcTrace, marks: &[Mark], distance: u64) -> ProcTr
     let mut insertions: Vec<(usize, TraceEvent)> = Vec::new();
     let mut boundary = 0usize;
     for (i, ev) in events.iter().enumerate() {
-        if let (TraceEvent::Access(a), true) = (ev, marks[i].prefetch) {
+        if let (TraceEvent::Access { addr, .. }, true) = (ev, marks[i].prefetch) {
             let j = if prefix[i] <= distance {
                 0
             } else {
@@ -276,7 +276,7 @@ fn reference_insert(stream: &ProcTrace, marks: &[Mark], distance: u64) -> ProcTr
             };
             insertions.push((
                 j.max(boundary),
-                TraceEvent::Prefetch { addr: a.addr, exclusive: marks[i].exclusive },
+                TraceEvent::Prefetch { addr: *addr, exclusive: marks[i].exclusive },
             ));
         }
         if ev.is_sync() {
