@@ -62,6 +62,13 @@ echo "== hardware-prefetcher property suite (release) =="
 # path the property tests rely on.
 cargo test -q --release -p charlie --test hw_prefetch_props
 
+echo "== sampled simulation across every protocol (release) =="
+# DESIGN.md §3 and §17: detailed and fast-forward execution share one snoop
+# routine. The sampling properties run every protocol through fast-forward
+# windows with the invariant checker on, and require a plan without fast
+# windows to reproduce the exact report.
+cargo test -q --release -p charlie --test sampling_props
+
 echo "== shared-journal tail equivalence (release, 300 cases) =="
 # DESIGN.md §19: an incremental tail must fold exactly what a full scan
 # folds at every byte prefix; release builds run 300 random journals.

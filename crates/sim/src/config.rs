@@ -72,19 +72,13 @@ pub struct SimConfig {
     /// inherently nondeterministic, which is why campaigns that require
     /// bit-reproducible *failures* leave it off.
     pub wall_limit_ms: u64,
-    /// Apply snoops only to the caches the engine's sharer table says can
-    /// hold the line, instead of probing all `num_procs` caches on every
-    /// bus grant. Pure strength reduction — results are bit-identical
-    /// either way (the skipped probes are provably no-ops, and the table is
-    /// cross-checked against brute-force occupancy whenever invariant
-    /// checking is on). On by default; turn off (or set the
-    /// `CHARLIE_NO_SNOOP_FILTER` environment variable) to time or test the
-    /// broadcast scan.
-    pub snoop_filter: bool,
     /// Run the [`crate::check`] coherence invariant checker after every bus
     /// transaction (and once at end of run), failing the simulation with
     /// [`SimError::InvariantViolation`] on the first illegal protocol state.
-    /// Always on in debug builds (and therefore under `cargo test`);
+    /// It also cross-checks the sharer table that limits each snoop to the
+    /// line's holders against a scan of every cache, before every snoop
+    /// (a mismatch panics). Always on in debug builds (and therefore under
+    /// `cargo test`);
     /// this flag additionally enables it in release builds (`--check`).
     ///
     /// [`SimError::InvariantViolation`]: crate::SimError::InvariantViolation
@@ -104,7 +98,6 @@ impl SimConfig {
             victim_entries: 0,
             protocol: Protocol::WriteInvalidate,
             hw_prefetch: HwPrefetchConfig::OFF,
-            snoop_filter: true,
             max_events: 0,
             wall_limit_ms: 0,
             check_invariants: false,
@@ -170,7 +163,6 @@ mod tests {
         assert_eq!(c.max_events, 0);
         assert_eq!(c.wall_limit_ms, 0, "wall-clock watchdog off by default");
         assert!(!c.check_invariants);
-        assert!(c.snoop_filter, "snoop filtering is on by default");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   per cache-hit data access);
 //! * a private, copy-back, lockup-free data cache per processor (default
 //!   32 KB direct-mapped, 32-byte blocks) kept coherent with the Illinois
-//!   write-invalidate protocol;
+//!   write-invalidate protocol (or Firefly, Dragon or MOESI, see
+//!   [`Protocol`]);
 //! * a 16-deep prefetch buffer per processor;
 //! * a split-transaction memory subsystem: 100-cycle unloaded latency whose
 //!   contended data-transfer portion (4–32 cycles) is arbitrated round-robin
@@ -24,9 +25,13 @@
 //! Setting the `CHARLIE_DEBUG_EVENTS` environment variable makes the engine
 //! print a progress line (event counts, processor cursors and states, bus
 //! queue depth) every ~4M events — useful when diagnosing a run that seems
-//! stuck. Setting `CHARLIE_NO_SNOOP_FILTER` disables the sharer-tracking
-//! snoop filter (see [`sharers`]) and falls back to probing every cache on
-//! each bus grant; results are bit-identical either way.
+//! stuck.
+//!
+//! Runs execute in detail, or under a [`SamplePlan`] that fast-forwards
+//! some windows functionally ([`simulate_sampled`]). Both modes apply
+//! coherence through one snoop routine, which probes only the caches the
+//! sharer table (see [`sharers`]) lists as holders; they differ only in
+//! timing and in whether a write-back is posted to the bus.
 //!
 //! Time-resolved observability — an interval sampler producing a per-window
 //! [`Timeline`] and a structured JSONL trace emitter with category filters —
@@ -79,6 +84,30 @@ pub use sample::{
 };
 pub use sampling::{SamplePlan, SampledWindow, Schedule, WindowKind};
 
+/// The one way every `simulate*` entry point runs the machine: checks a
+/// sampled-simulation plan, validates the trace unless the caller already
+/// did, then builds and runs the machine.
+fn run(
+    cfg: &SimConfig,
+    trace: PreparedTrace<'_>,
+    validate: bool,
+    obs: Observability,
+    plan: Option<&SamplePlan>,
+) -> Result<machine::MachineOutput, SimError> {
+    if let Some(plan) = plan {
+        plan.validate().map_err(SimError::InvalidSamplePlan)?;
+        if cfg.warmup_accesses != 0 {
+            return Err(SimError::InvalidSamplePlan(
+                "sampled simulation requires warmup_accesses == 0 (warm windows replace it)".into(),
+            ));
+        }
+    }
+    if validate {
+        trace.validate().map_err(SimError::InvalidTrace)?;
+    }
+    machine::Machine::new(*cfg, trace, obs, plan.cloned())?.run()
+}
+
 /// Runs one simulation of `trace` on the machine described by `cfg`.
 ///
 /// `trace` is a plain `&Trace` or a [`PreparedTrace`]: a raw trace with a
@@ -94,7 +123,7 @@ pub fn simulate<'a>(
     cfg: &SimConfig,
     trace: impl Into<PreparedTrace<'a>>,
 ) -> Result<SimReport, SimError> {
-    Ok(machine::Machine::new(*cfg, trace.into())?.run()?.report)
+    Ok(run(cfg, trace.into(), true, Observability::default(), None)?.report)
 }
 
 /// [`simulate`], but additionally returns the number of scheduler events the
@@ -109,7 +138,7 @@ pub fn simulate_counted<'a>(
     cfg: &SimConfig,
     trace: impl Into<PreparedTrace<'a>>,
 ) -> Result<(SimReport, u64), SimError> {
-    let out = machine::Machine::new(*cfg, trace.into())?.run()?;
+    let out = run(cfg, trace.into(), true, Observability::default(), None)?;
     Ok((out.report, out.events))
 }
 
@@ -127,7 +156,7 @@ pub fn simulate_observed<'a>(
     trace: impl Into<PreparedTrace<'a>>,
     obs: Observability,
 ) -> Result<(SimReport, Option<Timeline>), SimError> {
-    let out = machine::Machine::new_observed(*cfg, trace.into(), obs)?.run()?;
+    let out = run(cfg, trace.into(), true, obs, None)?;
     Ok((out.report, out.timeline))
 }
 
@@ -141,7 +170,7 @@ pub fn simulate_observed_prevalidated<'a>(
     trace: impl Into<PreparedTrace<'a>>,
     obs: Observability,
 ) -> Result<(SimReport, Option<Timeline>), SimError> {
-    let out = machine::Machine::new_prevalidated_observed(*cfg, trace.into(), obs)?.run()?;
+    let out = run(cfg, trace.into(), false, obs, None)?;
     Ok((out.report, out.timeline))
 }
 
@@ -158,7 +187,7 @@ pub fn simulate_prevalidated<'a>(
     cfg: &SimConfig,
     trace: impl Into<PreparedTrace<'a>>,
 ) -> Result<SimReport, SimError> {
-    Ok(machine::Machine::new_prevalidated(*cfg, trace.into())?.run()?.report)
+    Ok(run(cfg, trace.into(), false, Observability::default(), None)?.report)
 }
 
 /// [`simulate_counted`] on a caller-validated trace — the combination the
@@ -172,7 +201,7 @@ pub fn simulate_counted_prevalidated<'a>(
     cfg: &SimConfig,
     trace: impl Into<PreparedTrace<'a>>,
 ) -> Result<(SimReport, u64), SimError> {
-    let out = machine::Machine::new_prevalidated(*cfg, trace.into())?.run()?;
+    let out = run(cfg, trace.into(), false, Observability::default(), None)?;
     Ok((out.report, out.events))
 }
 
@@ -209,13 +238,7 @@ pub fn simulate_sampled<'a>(
     trace: impl Into<PreparedTrace<'a>>,
     plan: &SamplePlan,
 ) -> Result<SampledRun, SimError> {
-    plan.validate().map_err(SimError::InvalidSamplePlan)?;
-    if cfg.warmup_accesses != 0 {
-        return Err(SimError::InvalidSamplePlan(
-            "sampled simulation requires warmup_accesses == 0 (warm windows replace it)".into(),
-        ));
-    }
-    let out = machine::Machine::new(*cfg, trace.into())?.with_plan(plan.clone()).run()?;
+    let out = run(cfg, trace.into(), true, Observability::default(), Some(plan))?;
     Ok(SampledRun { report: out.report, windows: out.windows, events: out.events })
 }
 
@@ -229,14 +252,7 @@ pub fn simulate_sampled_prevalidated<'a>(
     trace: impl Into<PreparedTrace<'a>>,
     plan: &SamplePlan,
 ) -> Result<SampledRun, SimError> {
-    plan.validate().map_err(SimError::InvalidSamplePlan)?;
-    if cfg.warmup_accesses != 0 {
-        return Err(SimError::InvalidSamplePlan(
-            "sampled simulation requires warmup_accesses == 0 (warm windows replace it)".into(),
-        ));
-    }
-    let out =
-        machine::Machine::new_prevalidated(*cfg, trace.into())?.with_plan(plan.clone()).run()?;
+    let out = run(cfg, trace.into(), false, Observability::default(), Some(plan))?;
     Ok(SampledRun { report: out.report, windows: out.windows, events: out.events })
 }
 

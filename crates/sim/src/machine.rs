@@ -57,8 +57,25 @@ enum EventKind {
 enum TxnAction {
     DemandFill { proc: ProcId, line: LineAddr, op: BusOp },
     PrefetchFill { proc: ProcId, line: LineAddr, op: BusOp },
-    Upgrade { proc: ProcId, line: LineAddr, word: u32 },
+    Upgrade { proc: ProcId, line: LineAddr },
     WriteBack,
+}
+
+/// What one bus operation's snoop found among the requestor's peers.
+struct Snoop {
+    /// Another cache held a valid copy (the Illinois sharing wire).
+    others: bool,
+    /// The peer that supplied a dirty copy to a `Read`.
+    dirty_supplier: Option<usize>,
+}
+
+/// Who a functional (fast-forward) fill is for.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum FillFor {
+    /// A demand miss: the processor stalls for the unloaded latency.
+    Demand,
+    /// A software (`hw: false`) or hardware prefetch.
+    Prefetch { hw: bool },
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -175,14 +192,9 @@ pub(crate) struct Machine<'t> {
     txns: Vec<Option<TxnInfo>>,
     locks: LockTable,
     barrier: BarrierState,
-    /// Which caches hold a valid copy of each line; lets `apply_snoops`
-    /// probe only possible holders. Always maintained (cheap) — `snoop_filter`
-    /// only selects whether it is *used*.
+    /// Which caches hold a valid copy of each line; `snoop_peers` probes
+    /// only these.
     sharers: SharerTable,
-    /// Iterate the sharer mask in `apply_snoops` instead of scanning all
-    /// caches. From `SimConfig::snoop_filter`, overridable by the
-    /// `CHARLIE_NO_SNOOP_FILTER` environment variable (read once here).
-    snoop_filter: bool,
     /// Per processor: lines a prefetch brought in that vanished before any
     /// demand use (so a later tag-mismatch miss can be classified
     /// "prefetched").
@@ -260,32 +272,16 @@ pub(crate) struct MachineOutput {
 }
 
 impl<'t> Machine<'t> {
-    pub(crate) fn new(cfg: SimConfig, trace: PreparedTrace<'t>) -> Result<Self, SimError> {
-        Machine::new_observed(cfg, trace, Observability::default())
-    }
-
-    pub(crate) fn new_observed(
+    /// Builds the machine for one run of a trace that already passed
+    /// validation. A `plan` must already have passed
+    /// [`SamplePlan::validate`], and comes with `warmup_accesses == 0`:
+    /// warm-up zeroes the tallies mid-run, which would corrupt the plan's
+    /// counter deltas — sampled runs use warm windows instead.
+    pub(crate) fn new(
         cfg: SimConfig,
         trace: PreparedTrace<'t>,
         obs: Observability,
-    ) -> Result<Self, SimError> {
-        trace.validate().map_err(SimError::InvalidTrace)?;
-        Machine::new_prevalidated_observed(cfg, trace, obs)
-    }
-
-    /// [`Machine::new`] without the `trace.validate()` pass — the caller
-    /// vouches the trace already passed validation (shared-trace batch path).
-    pub(crate) fn new_prevalidated(
-        cfg: SimConfig,
-        trace: PreparedTrace<'t>,
-    ) -> Result<Self, SimError> {
-        Machine::new_prevalidated_observed(cfg, trace, Observability::default())
-    }
-
-    pub(crate) fn new_prevalidated_observed(
-        cfg: SimConfig,
-        trace: PreparedTrace<'t>,
-        obs: Observability,
+        plan: Option<SamplePlan>,
     ) -> Result<Self, SimError> {
         if trace.num_procs() != cfg.num_procs {
             return Err(SimError::ProcCountMismatch {
@@ -331,8 +327,6 @@ impl<'t> Machine<'t> {
             locks: LockTable::new(),
             barrier: BarrierState::new(n),
             sharers: SharerTable::new(n),
-            snoop_filter: cfg.snoop_filter
-                && std::env::var_os("CHARLIE_NO_SNOOP_FILTER").is_none(),
             ghosts: vec![FxHashSet::default(); n],
             hw,
             tallies: Tallies::default(),
@@ -351,40 +345,19 @@ impl<'t> Machine<'t> {
             wall_deadline: (cfg.wall_limit_ms > 0).then(|| {
                 std::time::Instant::now() + std::time::Duration::from_millis(cfg.wall_limit_ms)
             }),
-            plan: None,
-            ff_active: false,
+            ff_active: plan.as_ref().is_some_and(|plan| plan.kind_of(0) == WindowKind::Fast),
+            plan: plan.map(|plan| PlanState {
+                win_left: plan.window_accesses,
+                win_idx: 0,
+                win_start: 0,
+                base: CounterSnapshot::default(),
+                base_misses: 0,
+                records: Vec::new(),
+                plan,
+            }),
             live_txns: 0,
             barrier_scratch: Vec::new(),
         })
-    }
-
-    /// Attaches a sampled-simulation plan. Must be called before `run`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a structurally invalid plan (see [`SamplePlan::validate`])
-    /// or when combined with statistics warm-up (`warmup_accesses > 0`):
-    /// warm-up zeroes the tallies mid-run, which would corrupt the plan's
-    /// counter deltas — sampled runs use warm windows instead.
-    pub(crate) fn with_plan(mut self, plan: SamplePlan) -> Self {
-        if let Err(e) = plan.validate() {
-            panic!("invalid sample plan: {e}");
-        }
-        assert_eq!(
-            self.cfg.warmup_accesses, 0,
-            "sampled simulation replaces statistics warm-up with warm windows"
-        );
-        self.ff_active = plan.kind_of(0) == WindowKind::Fast;
-        self.plan = Some(PlanState {
-            win_left: plan.window_accesses,
-            win_idx: 0,
-            win_start: 0,
-            base: CounterSnapshot::default(),
-            base_misses: 0,
-            records: Vec::new(),
-            plan,
-        });
-        self
     }
 
     pub(crate) fn run(mut self) -> Result<MachineOutput, SimError> {
@@ -419,12 +392,7 @@ impl<'t> Machine<'t> {
             // Watchdog: a deterministic event budget catches livelocked or
             // runaway runs that would otherwise wedge a whole batch.
             if events_processed > self.event_budget {
-                let retired: u64 = self.procs.iter().map(|p| p.cursor.position() as u64).sum();
-                let blocked = self
-                    .procs
-                    .iter()
-                    .filter(|p| !matches!(p.status, ProcStatus::Running | ProcStatus::Done))
-                    .count();
+                let (retired, blocked) = self.progress();
                 return Err(SimError::BudgetExceeded {
                     events: events_processed,
                     cycles: time,
@@ -437,13 +405,7 @@ impl<'t> Machine<'t> {
             if events_processed & 0xFFF == 0 {
                 if let Some(deadline) = self.wall_deadline {
                     if std::time::Instant::now() >= deadline {
-                        let retired: u64 =
-                            self.procs.iter().map(|p| p.cursor.position() as u64).sum();
-                        let blocked = self
-                            .procs
-                            .iter()
-                            .filter(|p| !matches!(p.status, ProcStatus::Running | ProcStatus::Done))
-                            .count();
+                        let (retired, blocked) = self.progress();
                         return Err(SimError::WallClockExceeded {
                             limit_ms: self.cfg.wall_limit_ms,
                             events: events_processed,
@@ -491,6 +453,18 @@ impl<'t> Machine<'t> {
         };
         let (report, timeline) = self.into_report();
         Ok(MachineOutput { report, timeline, windows, events: events_processed })
+    }
+
+    /// The watchdogs' last-progress diagnostics: trace events retired
+    /// machine-wide, and processors neither running nor done.
+    fn progress(&self) -> (u64, usize) {
+        let retired = self.procs.iter().map(|p| p.cursor.position() as u64).sum();
+        let blocked = self
+            .procs
+            .iter()
+            .filter(|p| !matches!(p.status, ProcStatus::Running | ProcStatus::Done))
+            .count();
+        (retired, blocked)
     }
 
     /// Reads the monotone counters the sampler windows over.
@@ -695,19 +669,6 @@ impl<'t> Machine<'t> {
         self.seq
     }
 
-    /// Parks a freshly submitted transaction in the id-indexed slab. Slot
-    /// indices are dense (the bus recycles them), so the slab only grows to
-    /// the high-water mark of concurrently live transactions.
-    fn register_txn(&mut self, id: TxnId, info: TxnInfo) {
-        let idx = id.index();
-        if idx >= self.txns.len() {
-            self.txns.resize(idx + 1, None);
-        }
-        debug_assert!(self.txns[idx].is_none(), "slab slot of {id} still occupied");
-        self.txns[idx] = Some(info);
-        self.live_txns += 1;
-    }
-
     /// Schedules a wake that is valid only while the target's epoch is
     /// unchanged (dropping stale wakes, e.g. extra prefetch-slot wakes).
     fn push_wake(&mut self, time: u64, proc: usize) {
@@ -871,13 +832,9 @@ impl<'t> Machine<'t> {
             self.advance_cursor(p);
             return Flow::Continue;
         }
-        if self.ff_ready(line) {
-            // Fast-forward fills install instantly and never occupy a buffer
-            // slot, so a full buffer (detailed-era stragglers) cannot stall.
-            let word = self.cfg.geometry.word_index(addr);
-            return self.ff_prefetch(p, line, exclusive, word);
-        }
-        if outstanding_full {
+        // Fast-forward fills install instantly and never occupy a buffer
+        // slot, so a full buffer (detailed-era stragglers) cannot stall.
+        if outstanding_full && !self.ff_ready(line) {
             self.tallies.prefetch.buffer_stalls += 1;
             self.block_proc(p, ProcStatus::WaitPrefetchSlot);
             return Flow::Blocked;
@@ -886,33 +843,38 @@ impl<'t> Machine<'t> {
         self.tallies.prefetch.executed += 1;
         self.tallies.prefetch.fills += 1;
         let op = protocol::prefetch_op(self.cfg.protocol, exclusive);
-        let now = self.procs[p].t;
-        let priority = if self.cfg.prefetch_demand_priority {
-            Priority::Demand
-        } else {
-            Priority::Prefetch
-        };
-        let txn = self.bus.submit(now, ProcId(p as u8), line, op, priority);
-        self.register_txn(
-            txn,
-            TxnInfo {
-                issued_at: now,
-                action: TxnAction::PrefetchFill { proc: ProcId(p as u8), line, op },
-                word: self.cfg.geometry.word_index(addr),
-                others_have_copy: false,
-                aborted: false,
-            },
-        );
-        if let Some(tr) = &mut self.tracer {
-            tr.prefetch_with(now, p, line, "executed", "outcome", "issued");
-        }
-        self.procs[p]
-            .outstanding
-            .insert(line, OutstandingPrefetch { txn, cpu_waiting: false, hw: false });
-        self.verify_prefetch_buffer(p);
-        self.schedule_bus_check(now);
+        self.issue_prefetch(p, line, op, self.cfg.geometry.word_index(addr), false);
         self.advance_cursor(p);
         Flow::Continue
+    }
+
+    /// Fills `line` for a prefetch by `p`: functionally in a fast-forward
+    /// window, otherwise as a bus transaction holding a prefetch-buffer
+    /// slot until it completes. The caller has already counted it.
+    fn issue_prefetch(&mut self, p: usize, line: LineAddr, op: BusOp, word: u32, hw: bool) {
+        if self.ff_ready(line) {
+            self.ff_fill(p, line, op, word, FillFor::Prefetch { hw });
+            return;
+        }
+        let now = self.procs[p].t;
+        let action = TxnAction::PrefetchFill { proc: ProcId(p as u8), line, op };
+        let txn = self.submit_txn(now, p, line, op, action, word);
+        self.trace_prefetch_issued(now, p, line, hw);
+        self.procs[p].outstanding.insert(line, OutstandingPrefetch { txn, cpu_waiting: false, hw });
+        self.verify_prefetch_buffer(p);
+    }
+
+    /// Traces a prefetch leaving for memory: software prefetches report the
+    /// `issued` outcome of an `executed` instruction, hardware ones an
+    /// `issued` prediction.
+    fn trace_prefetch_issued(&mut self, now: u64, p: usize, line: LineAddr, hw: bool) {
+        if let Some(tr) = &mut self.tracer {
+            if hw {
+                tr.prefetch(now, p, line, "issued");
+            } else {
+                tr.prefetch_with(now, p, line, "executed", "outcome", "issued");
+            }
+        }
     }
 
     // ---- on-line hardware prefetching -----------------------------------
@@ -961,47 +923,7 @@ impl<'t> Machine<'t> {
         self.tallies.prefetch.executed += 1;
         self.tallies.prefetch.fills += 1;
         self.tallies.hw.issued += 1;
-        if self.ff_ready(line) {
-            // Fast-forward: the prediction lands instantly, ahead of demand
-            // by construction — it awaits a useful/useless verdict like a
-            // detailed fill that completed before the demand stream arrived.
-            let others = self.ff_apply_snoops(p, line, BusOp::Read, 0);
-            let now = self.procs[p].t;
-            if let Some(tr) = &mut self.tracer {
-                tr.prefetch(now, p, line, "issued");
-            }
-            self.install_fill(p, line, BusOp::Read, others, true, now);
-            if let Some(hw) = self.hw.as_mut() {
-                hw.unused[p].insert(line);
-            }
-            self.verify_line(line);
-            return;
-        }
-        let now = self.procs[p].t;
-        let priority = if self.cfg.prefetch_demand_priority {
-            Priority::Demand
-        } else {
-            Priority::Prefetch
-        };
-        let txn = self.bus.submit(now, ProcId(p as u8), line, BusOp::Read, priority);
-        self.register_txn(
-            txn,
-            TxnInfo {
-                issued_at: now,
-                action: TxnAction::PrefetchFill { proc: ProcId(p as u8), line, op: BusOp::Read },
-                word: 0,
-                others_have_copy: false,
-                aborted: false,
-            },
-        );
-        if let Some(tr) = &mut self.tracer {
-            tr.prefetch(now, p, line, "issued");
-        }
-        self.procs[p]
-            .outstanding
-            .insert(line, OutstandingPrefetch { txn, cpu_waiting: false, hw: true });
-        self.verify_prefetch_buffer(p);
-        self.schedule_bus_check(now);
+        self.issue_prefetch(p, line, BusOp::Read, 0, true);
     }
 
     /// A demand access touched `line` in processor `p`'s cache: if a
@@ -1090,22 +1012,12 @@ impl<'t> Machine<'t> {
                         return self.retire_pending(p);
                     }
                     self.tallies.upgrades += 1;
-                    if self.ff_ready(line) {
-                        return self.ff_upgrade(p, line, word);
-                    }
                     let op = protocol::write_shared_op(self.cfg.protocol);
-                    let txn = self.bus.submit(now, ProcId(p as u8), line, op, Priority::Demand);
-                    self.register_txn(
-                        txn,
-                        TxnInfo {
-                            issued_at: now,
-                            action: TxnAction::Upgrade { proc: ProcId(p as u8), line, word },
-                            word,
-                            others_have_copy: false,
-                            aborted: false,
-                        },
-                    );
-                    self.schedule_bus_check(now);
+                    if self.ff_ready(line) {
+                        return self.ff_upgrade(p, line, op, word);
+                    }
+                    let action = TxnAction::Upgrade { proc: ProcId(p as u8), line };
+                    let txn = self.submit_txn(now, p, line, op, action, word);
                     self.procs[p].waiting_txn = Some(txn);
                     self.block_proc(p, ProcStatus::WaitMem);
                     Flow::Blocked
@@ -1158,9 +1070,6 @@ impl<'t> Machine<'t> {
                     self.tallies.demand_refills += 1;
                     self.procs[p].pending.as_mut().expect("pending").stolen_fills += 1;
                 }
-                if self.ff_ready(line) {
-                    return self.ff_fill(p, line, is_write, word);
-                }
                 // Write-update protocols: a write miss fills like a read and
                 // then broadcasts the word (handled by the upgrade-as-update
                 // path when the retried store finds the line shared).
@@ -1169,18 +1078,13 @@ impl<'t> Machine<'t> {
                 } else {
                     BusOp::Read
                 };
-                let txn = self.bus.submit(now, ProcId(p as u8), line, op, Priority::Demand);
-                self.register_txn(
-                    txn,
-                    TxnInfo {
-                        issued_at: now,
-                        action: TxnAction::DemandFill { proc: ProcId(p as u8), line, op },
-                        word,
-                        others_have_copy: false,
-                        aborted: false,
-                    },
-                );
-                self.schedule_bus_check(now);
+                if self.ff_ready(line) {
+                    // The still-pending access re-dispatches at once and hits.
+                    self.ff_fill(p, line, op, word, FillFor::Demand);
+                    return Flow::Continue;
+                }
+                let action = TxnAction::DemandFill { proc: ProcId(p as u8), line, op };
+                let txn = self.submit_txn(now, p, line, op, action, word);
                 self.procs[p].waiting_txn = Some(txn);
                 self.block_proc(p, ProcStatus::WaitMem);
                 Flow::Blocked
@@ -1193,12 +1097,15 @@ impl<'t> Machine<'t> {
     // Fast-forward windows keep the machine's *state* exact — caches,
     // coherence, sharer table, lock/barrier order, prefetch classification —
     // while replacing every bus interaction with its immediate functional
-    // effect: snoops apply at the requestor's local time, fills install
-    // instantly, and the processor is charged the fixed unloaded latency.
-    // No bus transaction is submitted, so the contended-timing machinery
-    // (arbitration, queueing, transfer occupancy) is skipped entirely.
-    // Transactions submitted in a preceding detailed window keep draining
-    // through the event loop, so mode transitions need no flush.
+    // effect: the same `snoop_peers` a detailed grant runs applies at the
+    // requestor's local time, fills install instantly, and the processor is
+    // charged the fixed unloaded latency. No bus transaction is submitted,
+    // so the contended-timing machinery (arbitration, queueing, transfer
+    // occupancy) is skipped entirely, and neither a dirty supplier nor a
+    // dirty eviction posts a write-back. Transactions submitted in a
+    // preceding detailed window keep draining through the event loop (a
+    // dirty supplier they snoop still posts one), so mode transitions need
+    // no flush.
 
     /// True when `line` may be handled functionally right now: fast-forward
     /// is on and no detailed-era transaction is in flight for it. A granted
@@ -1220,126 +1127,47 @@ impl<'t> Machine<'t> {
                 }))
     }
 
-    /// Applies the functional coherence effect of `op` by `p` on `line` to
-    /// every other holder; returns the Illinois sharing wire (whether any
-    /// other cache held a valid copy).
-    fn ff_apply_snoops(&mut self, p: usize, line: LineAddr, op: BusOp, word: u32) -> bool {
-        self.verify_sharer_mask(line);
+    /// Fast-forward fill of `line` by `p`: snoop at the requestor's clock,
+    /// then install at once. A demand miss pays the unloaded fill latency
+    /// as stall; a prefetch lands ahead of demand by construction and never
+    /// holds a buffer slot, so a hardware one awaits its useful/useless
+    /// verdict like a detailed fill that completed before demand arrived.
+    /// No write-back is posted for a dirty supplier: memory updates are
+    /// free on a bus that is not being timed.
+    fn ff_fill(&mut self, p: usize, line: LineAddr, op: BusOp, word: u32, by: FillFor) {
+        let snoop = self.snoop_peers(p, line, op, word, self.procs[p].t);
+        match by {
+            FillFor::Demand => {
+                let lat = self.cfg.bus.total_latency;
+                let proc = &mut self.procs[p];
+                proc.t += lat;
+                proc.stats.stall_cycles += lat;
+                self.tallies.fill_latency.record(lat);
+            }
+            FillFor::Prefetch { hw } => self.trace_prefetch_issued(self.procs[p].t, p, line, hw),
+        }
         let now = self.procs[p].t;
-        let mut others = false;
-        let mut holders = self.snoop_candidates(line) & !(1u64 << p);
-        while holders != 0 {
-            let q = holders.trailing_zeros() as usize;
-            holders &= holders - 1;
-            match op {
-                BusOp::Read => {
-                    // A dirty owner supplies the data; any memory update
-                    // (reflective protocols) is free in fast-forward (no
-                    // posted write-back occupies a bus that is not being
-                    // timed).
-                    if self.caches[q].snoop_downgrade(line, self.cfg.protocol).is_some() {
-                        others = true;
-                    }
-                }
-                BusOp::ReadExclusive => {
-                    if self.invalidate_in(now, q, line, word) {
-                        others = true;
-                    }
-                }
-                BusOp::Upgrade | BusOp::Update | BusOp::WriteBack => unreachable!("fills only"),
+        self.install_fill(p, line, op, snoop.others, by != FillFor::Demand, now);
+        if matches!(by, FillFor::Prefetch { hw: true }) {
+            if let Some(hw) = self.hw.as_mut() {
+                hw.unused[p].insert(line);
             }
         }
-        others
-    }
-
-    /// Fast-forward demand miss: snoop functionally, install the fill, and
-    /// charge the unloaded fill latency as stall. The still-pending access
-    /// re-dispatches immediately and hits.
-    fn ff_fill(&mut self, p: usize, line: LineAddr, is_write: bool, word: u32) -> Flow {
-        let op = if is_write {
-            protocol::write_miss_op(self.cfg.protocol)
-        } else {
-            BusOp::Read
-        };
-        let others = self.ff_apply_snoops(p, line, op, word);
-        let lat = self.cfg.bus.total_latency;
-        let proc = &mut self.procs[p];
-        proc.t += lat;
-        proc.stats.stall_cycles += lat;
-        let now = proc.t;
-        self.tallies.fill_latency.record(lat);
-        self.install_fill(p, line, op, others, false, now);
         self.verify_line(line);
-        Flow::Continue
     }
 
     /// Fast-forward upgrade: the coherence effect of the invalidation (or
     /// word broadcast) applies immediately and the store pays only the
     /// address-slot occupancy as stall.
-    fn ff_upgrade(&mut self, p: usize, line: LineAddr, word: u32) -> Flow {
+    fn ff_upgrade(&mut self, p: usize, line: LineAddr, op: BusOp, word: u32) -> Flow {
         let lat = self.cfg.bus.invalidate_cycles;
         let proc = &mut self.procs[p];
         proc.t += lat;
         proc.stats.stall_cycles += lat;
         let now = proc.t;
-        if protocol::write_shared_op(self.cfg.protocol) == BusOp::Upgrade {
-            // Invalidation-based: every other holder drops its copy and
-            // the writer becomes sole dirty owner.
-            let mut holders = self.snoop_candidates(line) & !(1u64 << p);
-            while holders != 0 {
-                let q = holders.trailing_zeros() as usize;
-                holders &= holders - 1;
-                self.invalidate_in(now, q, line, word);
-            }
-            if let Probe::Hit { way, .. } = self.caches[p].probe_line(line) {
-                self.caches[p]
-                    .frame_mut(line, way)
-                    .downgrade(charlie_cache::LineState::PrivateDirty);
-            }
-        } else {
-            // Update-based: peers absorb the word (Dragon owners hand the
-            // Sm role to the writer) and the writer's resulting state
-            // depends on whether anyone is left sharing.
-            let mut others = false;
-            let mut holders = self.snoop_candidates(line) & !(1u64 << p);
-            while holders != 0 {
-                let q = holders.trailing_zeros() as usize;
-                holders &= holders - 1;
-                if self.caches[q].snoop_update(line, self.cfg.protocol).is_some() {
-                    others = true;
-                }
-            }
-            let result = protocol::broadcast_result(self.cfg.protocol, others);
-            if let Probe::Hit { way, .. } = self.caches[p].probe_line(line) {
-                self.caches[p].frame_mut(line, way).downgrade(result);
-            }
-            if !result.can_write_silently() {
-                // Sharers remain: the retried store observes the
-                // completed broadcast and retires in the shared state.
-                if let Some(pa) = self.procs[p].pending.as_mut() {
-                    pa.update_complete = true;
-                }
-            }
-        }
+        let snoop = self.snoop_peers(p, line, op, word, now);
+        self.complete_upgrade(p, line, snoop.others);
         self.verify_line(line);
-        Flow::Continue
-    }
-
-    /// Fast-forward software prefetch: the fill installs instantly (the
-    /// buffer is never occupied, so the processor cannot stall on a slot).
-    fn ff_prefetch(&mut self, p: usize, line: LineAddr, exclusive: bool, word: u32) -> Flow {
-        self.charge_dispatch_cycle(p);
-        self.tallies.prefetch.executed += 1;
-        self.tallies.prefetch.fills += 1;
-        let op = protocol::prefetch_op(self.cfg.protocol, exclusive);
-        let others = self.ff_apply_snoops(p, line, op, word);
-        let now = self.procs[p].t;
-        if let Some(tr) = &mut self.tracer {
-            tr.prefetch_with(now, p, line, "executed", "outcome", "issued");
-        }
-        self.install_fill(p, line, op, others, true, now);
-        self.verify_line(line);
-        self.advance_cursor(p);
         Flow::Continue
     }
 
@@ -1588,23 +1416,9 @@ impl<'t> Machine<'t> {
         }
     }
 
-    /// Processors whose caches *may* hold a valid copy of `line`: the sharer
-    /// mask when filtering, every processor otherwise. Probing a non-holder
-    /// is a no-op, so the two differ only in wasted probes — asserted by
-    /// `verify_sharer_mask` whenever checking is on.
-    fn snoop_candidates(&self, line: LineAddr) -> u64 {
-        if self.snoop_filter {
-            self.sharers.mask(line)
-        } else if self.cfg.num_procs == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.cfg.num_procs) - 1
-        }
-    }
-
     /// Cross-checks the sharer table against a brute-force occupancy scan of
-    /// every cache (the pre-filter behaviour). An explicit assert, not a
-    /// `debug_assert`: `--check` runs must exercise it in release builds.
+    /// every cache. An explicit assert, not a `debug_assert`: `--check`
+    /// runs must exercise it in release builds.
     fn verify_sharer_mask(&self, line: LineAddr) {
         if !self.checking {
             return;
@@ -1620,11 +1434,48 @@ impl<'t> Machine<'t> {
         }
     }
 
-    /// Applies coherence effects at grant time (address broadcast): remote
-    /// invalidations/downgrades and the Illinois sharing wire.
+    /// Applies the coherence effect of `op` by `requestor` on `line` to
+    /// every other cache holding it, in ascending processor order — the one
+    /// snoop both execution modes share. A `Read` downgrades holders (a
+    /// dirty one supplies the data), `ReadExclusive` and `Upgrade`
+    /// invalidate them, and an `Update` broadcast hands them the word.
+    /// `now` stamps the trace events of invalidated prefetches.
+    fn snoop_peers(
+        &mut self,
+        requestor: usize,
+        line: LineAddr,
+        op: BusOp,
+        word: u32,
+        now: u64,
+    ) -> Snoop {
+        self.verify_sharer_mask(line);
+        let mut snoop = Snoop { others: false, dirty_supplier: None };
+        let mut holders = self.sharers.mask(line) & !(1u64 << requestor);
+        while holders != 0 {
+            let q = holders.trailing_zeros() as usize;
+            holders &= holders - 1;
+            let held = match op {
+                BusOp::Read => {
+                    let prev = self.caches[q].snoop_downgrade(line, self.cfg.protocol);
+                    if prev.is_some_and(|prev| prev.is_dirty()) {
+                        snoop.dirty_supplier = Some(q);
+                    }
+                    prev.is_some()
+                }
+                BusOp::ReadExclusive | BusOp::Upgrade => self.invalidate_in(now, q, line, word),
+                BusOp::Update => self.caches[q].snoop_update(line, self.cfg.protocol).is_some(),
+                BusOp::WriteBack => unreachable!("a write-back snoops no peer"),
+            };
+            snoop.others |= held;
+        }
+        snoop
+    }
+
+    /// Applies coherence effects at grant time (address broadcast): the
+    /// peers' snoop, recorded for the completion, plus the reflective
+    /// write-back of a dirty supplier.
     fn apply_snoops(&mut self, now: u64, id: TxnId, line: LineAddr) {
         let info = self.txns[id.index()].expect("granted txn is registered");
-        self.verify_sharer_mask(line);
         if self.tracer.as_ref().is_some_and(|t| t.wants_coherence(line)) {
             let states: Vec<_> =
                 (0..self.cfg.num_procs).map(|q| self.caches[q].state_of(line)).collect();
@@ -1634,68 +1485,10 @@ impl<'t> Machine<'t> {
                 tr.snoop(now, id, line, &action, &states);
             }
         }
-        let word = info.word;
-        match info.action {
-            TxnAction::WriteBack => {}
+        let (proc, op) = match info.action {
+            TxnAction::WriteBack => return,
             TxnAction::DemandFill { proc, op, .. } | TxnAction::PrefetchFill { proc, op, .. } => {
-                let mut others = false;
-                let mut dirty_supplier: Option<usize> = None;
-                // Ascending bit order == the old 0..num_procs scan order.
-                let mut holders = self.snoop_candidates(line) & !(1u64 << proc.index());
-                while holders != 0 {
-                    let q = holders.trailing_zeros() as usize;
-                    holders &= holders - 1;
-                    match op {
-                        BusOp::Read => {
-                            if let Some(prev) =
-                                self.caches[q].snoop_downgrade(line, self.cfg.protocol)
-                            {
-                                others = true;
-                                if prev.is_dirty() {
-                                    dirty_supplier = Some(q);
-                                }
-                            }
-                        }
-                        BusOp::ReadExclusive => {
-                            if self.invalidate_in(now, q, line, word) {
-                                others = true;
-                            }
-                        }
-                        BusOp::Upgrade | BusOp::Update | BusOp::WriteBack => {
-                            unreachable!("fills only")
-                        }
-                    }
-                }
-                // Reflective memory (Illinois, Firefly): a dirty owner
-                // supplies the data and memory is updated in the same breath
-                // — a posted write-back that occupies the bus (the supplier
-                // does not stall). Dragon and MOESI keep the data dirty in
-                // the supplier's cache and defer the write-back to eviction.
-                if !protocol::posts_reflective_writeback(self.cfg.protocol) {
-                    dirty_supplier = None;
-                }
-                if let Some(q) = dirty_supplier {
-                    let now = self.bus.busy_until();
-                    let txn = self.bus.submit(
-                        now,
-                        ProcId(q as u8),
-                        line,
-                        BusOp::WriteBack,
-                        Priority::Demand,
-                    );
-                    self.register_txn(
-                        txn,
-                        TxnInfo {
-                            issued_at: now,
-                            action: TxnAction::WriteBack,
-                            word: 0,
-                            others_have_copy: false,
-                            aborted: false,
-                        },
-                    );
-                    self.schedule_bus_check(now);
-                }
-                self.txns[id.index()].as_mut().expect("registered").others_have_copy = others;
+                (proc, op)
             }
             TxnAction::Upgrade { proc, .. } => {
                 // If the line left the cache while this upgrade queued, abort
@@ -1708,31 +1501,23 @@ impl<'t> Machine<'t> {
                     self.txns[id.index()].as_mut().expect("registered").aborted = true;
                     return;
                 }
-                if protocol::write_shared_op(self.cfg.protocol) == BusOp::Upgrade {
-                    let mut holders = self.snoop_candidates(line) & !(1u64 << proc.index());
-                    while holders != 0 {
-                        let q = holders.trailing_zeros() as usize;
-                        holders &= holders - 1;
-                        self.invalidate_in(now, q, line, word);
-                    }
-                } else {
-                    // Word broadcast: sharers keep their (now updated)
-                    // copies (a Dragon Sm owner cedes ownership to the
-                    // writer); record whether any remain so the writer can
-                    // take exclusive ownership when alone.
-                    let mut others = false;
-                    let mut holders = self.snoop_candidates(line) & !(1u64 << proc.index());
-                    while holders != 0 {
-                        let q = holders.trailing_zeros() as usize;
-                        holders &= holders - 1;
-                        if self.caches[q].snoop_update(line, self.cfg.protocol).is_some() {
-                            others = true;
-                        }
-                    }
-                    self.txns[id.index()].as_mut().expect("registered").others_have_copy = others;
-                }
+                (proc, protocol::write_shared_op(self.cfg.protocol))
+            }
+        };
+        let snoop = self.snoop_peers(proc.index(), line, op, info.word, now);
+        // Reflective memory (Illinois, Firefly): a dirty owner supplies the
+        // data and memory is updated in the same breath — a posted
+        // write-back that occupies the bus (the supplier does not stall).
+        // Dragon and MOESI keep the data dirty in the supplier's cache and
+        // defer the write-back to eviction. Posted even when the grant falls
+        // inside a fast-forward window (a detailed-era straggler).
+        if let Some(q) = snoop.dirty_supplier {
+            if protocol::posts_reflective_writeback(self.cfg.protocol) {
+                let at = self.bus.busy_until();
+                self.submit_txn(at, q, line, BusOp::WriteBack, TxnAction::WriteBack, 0);
             }
         }
+        self.txns[id.index()].as_mut().expect("registered").others_have_copy = snoop.others;
         self.verify_line(line);
     }
 
@@ -1818,27 +1603,10 @@ impl<'t> Machine<'t> {
                     self.push_wake(now, p);
                 }
             }
-            TxnAction::Upgrade { proc, line, word } => {
+            TxnAction::Upgrade { proc, line } => {
                 let p = proc.index();
                 if !info.aborted {
-                    // Invalidation protocols always end private-dirty (every
-                    // peer was invalidated); write-update writers end shared
-                    // (Firefly) or shared-modified (Dragon) when sharers
-                    // remain, private-dirty when alone.
-                    let result =
-                        protocol::broadcast_result(self.cfg.protocol, info.others_have_copy);
-                    if let Probe::Hit { way, .. } = self.caches[p].probe_line(line) {
-                        let _ = word;
-                        self.caches[p].frame_mut(line, way).downgrade(result);
-                    }
-                    if !result.can_write_silently() {
-                        // Sharers remain: flag the pending store so the retry
-                        // observes the completed broadcast and does not
-                        // broadcast again.
-                        if let Some(pa) = self.procs[p].pending.as_mut() {
-                            pa.update_complete = true;
-                        }
-                    }
+                    self.complete_upgrade(p, line, info.others_have_copy);
                 }
                 let woke = self.wake_if_waiting(now, p, id);
                 debug_assert!(woke, "upgrade completion must find its waiter");
@@ -1846,17 +1614,70 @@ impl<'t> Machine<'t> {
         }
         match info.action {
             TxnAction::WriteBack => {}
-            TxnAction::DemandFill { proc, line, .. } | TxnAction::Upgrade { proc, line, .. } => {
+            TxnAction::DemandFill { proc, line, .. }
+            | TxnAction::PrefetchFill { proc, line, .. }
+            | TxnAction::Upgrade { proc, line } => {
                 self.verify_line(line);
-                self.verify_prefetch_buffer(proc.index());
-            }
-            TxnAction::PrefetchFill { proc, line, .. } => {
-                self.verify_line(line);
-                // The fill just installed the line and released its slot; an
-                // entry still aliasing it means the buffer bookkeeping broke.
+                // A prefetch fill just installed the line and released its
+                // slot; an entry still aliasing it means the buffer
+                // bookkeeping broke.
                 self.verify_prefetch_buffer(proc.index());
             }
         }
+    }
+
+    /// Completes `p`'s upgrade of `line` once its peers have snooped it
+    /// (`others`: any of them kept a copy). Invalidation protocols always
+    /// end private-dirty (every peer was invalidated); write-update writers
+    /// end shared (Firefly) or shared-modified (Dragon) when sharers remain,
+    /// private-dirty when alone.
+    fn complete_upgrade(&mut self, p: usize, line: LineAddr, others: bool) {
+        let result = protocol::broadcast_result(self.cfg.protocol, others);
+        if let Probe::Hit { way, .. } = self.caches[p].probe_line(line) {
+            self.caches[p].frame_mut(line, way).downgrade(result);
+        }
+        if !result.can_write_silently() {
+            // Sharers remain: flag the pending store so the retry observes
+            // the completed broadcast, retires in the shared state and does
+            // not broadcast again.
+            if let Some(pa) = self.procs[p].pending.as_mut() {
+                pa.update_complete = true;
+            }
+        }
+    }
+
+    /// Submits a bus transaction for processor `p`, parks its record in the
+    /// id-indexed slab until completion and schedules a bus check. Prefetch
+    /// fills queue at prefetch priority unless `prefetch_demand_priority` is
+    /// set; everything else at demand.
+    fn submit_txn(
+        &mut self,
+        now: u64,
+        p: usize,
+        line: LineAddr,
+        op: BusOp,
+        action: TxnAction,
+        word: u32,
+    ) -> TxnId {
+        let priority = match action {
+            TxnAction::PrefetchFill { .. } if !self.cfg.prefetch_demand_priority => {
+                Priority::Prefetch
+            }
+            _ => Priority::Demand,
+        };
+        let txn = self.bus.submit(now, ProcId(p as u8), line, op, priority);
+        // Slot indices are dense (the bus recycles them), so the slab only
+        // grows to the high-water mark of concurrently live transactions.
+        let idx = txn.index();
+        if idx >= self.txns.len() {
+            self.txns.resize(idx + 1, None);
+        }
+        debug_assert!(self.txns[idx].is_none(), "slab slot of {txn} still occupied");
+        self.txns[idx] =
+            Some(TxnInfo { issued_at: now, action, word, others_have_copy: false, aborted: false });
+        self.live_txns += 1;
+        self.schedule_bus_check(now);
+        txn
     }
 
     fn install_fill(
@@ -1890,24 +1711,7 @@ impl<'t> Machine<'t> {
         // Fast-forward: the memory update is functional and free — no posted
         // write-back is submitted to the (untimed) bus.
         if evicted.state.is_dirty() && !self.ff_active {
-            let txn = self.bus.submit(
-                now,
-                ProcId(p as u8),
-                evicted.line,
-                BusOp::WriteBack,
-                Priority::Demand,
-            );
-            self.register_txn(
-                txn,
-                TxnInfo {
-                    issued_at: now,
-                    action: TxnAction::WriteBack,
-                    word: 0,
-                    others_have_copy: false,
-                    aborted: false,
-                },
-            );
-            self.schedule_bus_check(now);
+            self.submit_txn(now, p, evicted.line, BusOp::WriteBack, TxnAction::WriteBack, 0);
         }
         if evicted.prefetched_unused {
             self.tallies.prefetch.wasted_evicted += 1;

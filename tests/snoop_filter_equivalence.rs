@@ -1,31 +1,22 @@
-//! Equivalence harness for the sharer-tracking snoop filter.
+//! The sharer-tracking snoop filter must equal brute-force occupancy.
 //!
-//! The filter (see `charlie::sim::SharerTable`) is a pure strength
-//! reduction: instead of probing all `num_procs` caches on every bus grant,
-//! the engine probes only the caches its sharer table says can hold the
-//! line. Skipped probes are provably no-ops, so every observable output
-//! must be bit-identical with the filter on or off. These tests check that
-//! contract end to end: raw `SimReport`s across machine sizes, workloads,
-//! strategies and both coherence protocols, and the rendered experiment
-//! exhibits via the `CHARLIE_NO_SNOOP_FILTER` kill switch.
-//!
-//! `SimReport` derives `PartialEq` over every counter, histogram and
-//! per-processor record, so `==` really is a full bitwise comparison.
+//! The engine snoops only the caches its sharer table (see
+//! `charlie::sim::SharerTable`) says hold the line, instead of probing all
+//! `num_procs` caches on every bus operation. Skipped probes are no-ops
+//! only if the table is exact, so with invariant checking on the machine
+//! cross-checks the table against a scan of every cache before each snoop
+//! and fails the run on the first disagreement. These tests drive that
+//! check across machine sizes, workloads, prefetch strategies and all four
+//! coherence protocols.
 
 use charlie::prefetch::apply;
-use charlie::sim::{simulate, Protocol, SimConfig, SimReport};
+use charlie::sim::{simulate, Protocol, SimConfig};
 use charlie::workloads::generate;
-use charlie::{CacheGeometry, Lab, Layout, RunConfig, Strategy, Workload, WorkloadConfig};
+use charlie::{CacheGeometry, Layout, Strategy, Workload, WorkloadConfig};
 
-/// Simulates one workload on a `procs`-processor machine with the snoop
-/// filter forced on or off via `SimConfig`.
-fn report(
-    w: Workload,
-    procs: usize,
-    strategy: Strategy,
-    protocol: Protocol,
-    filter: bool,
-) -> SimReport {
+/// Simulates one workload on a `procs`-processor machine with the
+/// invariant checker (and with it the sharer-table cross-check) on.
+fn run_checked(w: Workload, procs: usize, strategy: Strategy, protocol: Protocol) {
     let wcfg = WorkloadConfig {
         procs,
         refs_per_proc: 1_200,
@@ -34,59 +25,29 @@ fn report(
     };
     let raw = generate(w, &wcfg);
     let prepared = apply(strategy, &raw, CacheGeometry::paper_default());
-    let cfg = SimConfig { snoop_filter: filter, protocol, ..SimConfig::paper(procs, 8) };
-    simulate(&cfg, &prepared).expect("simulation succeeds")
+    let cfg = SimConfig { protocol, check_invariants: true, ..SimConfig::paper(procs, 8) };
+    if let Err(e) = simulate(&cfg, &prepared) {
+        panic!("{w}/{strategy}/{protocol} at {procs} procs: {e}");
+    }
 }
 
-/// Every workload at 4, 8 and 16 processors: the filtered run must be
-/// bit-identical to the brute-force broadcast scan. (Debug builds keep
-/// invariant checking on, so each of these runs also cross-checks the
-/// sharer mask against brute-force occupancy before every snoop.)
+/// Every workload at 4, 8 and 16 processors.
 #[test]
-fn filtered_reports_are_bit_identical_across_machine_sizes() {
+fn sharer_table_matches_occupancy_at_every_machine_size() {
     for w in Workload::ALL {
         for procs in [4usize, 8, 16] {
-            let filtered = report(w, procs, Strategy::Pref, Protocol::WriteInvalidate, true);
-            let broadcast = report(w, procs, Strategy::Pref, Protocol::WriteInvalidate, false);
-            assert_eq!(filtered, broadcast, "{w} at {procs} procs diverged");
+            run_checked(w, procs, Strategy::Pref, Protocol::WriteInvalidate);
         }
     }
 }
 
-/// The filter has protocol-specific fast paths (write-invalidate upgrades,
-/// write-update broadcasts, exclusive prefetches); exercise each.
+/// Exclusive prefetches, write-invalidate upgrades and write-update
+/// broadcasts each snoop differently; exercise each under every protocol.
 #[test]
-fn filtered_reports_are_bit_identical_across_strategies_and_protocols() {
+fn sharer_table_matches_occupancy_under_every_protocol() {
     for strategy in [Strategy::Excl, Strategy::Lpd, Strategy::Pws] {
-        for protocol in [Protocol::WriteInvalidate, Protocol::WriteUpdate] {
-            let filtered = report(Workload::Mp3d, 8, strategy, protocol, true);
-            let broadcast = report(Workload::Mp3d, 8, strategy, protocol, false);
-            assert_eq!(filtered, broadcast, "{strategy}/{protocol} diverged");
+        for protocol in Protocol::ALL {
+            run_checked(Workload::Mp3d, 8, strategy, protocol);
         }
     }
-}
-
-fn exhibit_slice() -> String {
-    let mut lab = Lab::new(RunConfig {
-        procs: 4,
-        refs_per_proc: 2_000,
-        seed: 0xC0FFEE,
-        ..RunConfig::default()
-    });
-    let mut out = String::new();
-    out.push_str(&charlie::experiments::figure1(&mut lab).to_string());
-    out.push_str(&charlie::experiments::table2(&mut lab).to_string());
-    out
-}
-
-/// One slice of the experiments output, rendered to text with the filter on
-/// and again with the `CHARLIE_NO_SNOOP_FILTER` kill switch: byte-identical.
-/// This pins the user-facing regeneration path, not just raw reports.
-#[test]
-fn exhibit_output_is_byte_identical_under_kill_switch() {
-    let filtered = exhibit_slice();
-    std::env::set_var("CHARLIE_NO_SNOOP_FILTER", "1");
-    let broadcast = exhibit_slice();
-    std::env::remove_var("CHARLIE_NO_SNOOP_FILTER");
-    assert_eq!(filtered, broadcast, "exhibit text diverged under kill switch");
 }
