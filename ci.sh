@@ -98,9 +98,10 @@ echo "== perfbench grids reproduce their reference checksums =="
 # "correct": true. Its peak resident set must also stay under a ceiling:
 # a batch holds one raw trace per worker (generated at first use, dropped
 # after its last cell), so peak memory follows the work in flight, not the
-# campaign. It reads about 30 MB (sampled_grid) and 11 MB (exact_grid);
-# holding every trace of the grid at once read 186 MB and 42 MB.
-declare -A rss_ceiling_mb=([exact_grid]=24 [sampled_grid]=64)
+# campaign. With 8-byte trace events it reads about 18 MB (sampled_grid)
+# and 8 MB (exact_grid); 16-byte events read 30 MB and 11 MB, and holding
+# every trace of the grid at once read 186 MB and 42 MB.
+declare -A rss_ceiling_mb=([exact_grid]=12 [sampled_grid]=24)
 for workload in exact_grid sampled_grid; do
     if ! bench_out=$(env GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 \
         cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \

@@ -1,7 +1,7 @@
 //! Placement of prefetch instructions into an event stream.
 
 use crate::plan::Insertion;
-use charlie_trace::{Access, ProcTrace, TraceEvent};
+use charlie_trace::{AccessKind, ProcTrace, TraceEvent};
 
 /// The sorted union of two ascending index lists.
 pub(crate) fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -43,7 +43,7 @@ pub(crate) fn place(
     stream: &ProcTrace,
     marked: &[u32],
     distance: u64,
-    mut exclusive: impl FnMut(usize, Access) -> bool,
+    mut exclusive: impl FnMut(usize, AccessKind) -> bool,
 ) -> (Vec<Insertion>, u64) {
     let events = stream.events();
     assert!(
@@ -65,7 +65,7 @@ pub(crate) fn place(
                 boundary = lead;
             }
         }
-        let Some(access) = events[i].as_access() else { continue };
+        let TraceEvent::Access { addr, kind } = events[i] else { continue };
         let at = if lead_cycles <= distance {
             0
         } else {
@@ -78,8 +78,8 @@ pub(crate) fn place(
         };
         out.push(Insertion {
             at: at.max(boundary) as u32,
-            exclusive: exclusive(i, access),
-            addr: access.addr,
+            exclusive: exclusive(i, kind),
+            addr,
         });
     }
     let total = lead_cycles + events[lead..].iter().map(TraceEvent::estimated_cycles).sum::<u64>();
@@ -90,7 +90,7 @@ pub(crate) fn place(
 mod tests {
     use super::*;
     use crate::plan::ProcStream;
-    use charlie_trace::{Addr, BarrierId, TraceEvent};
+    use charlie_trace::{Access, Addr, BarrierId, TraceEvent};
 
     fn read(a: u64) -> TraceEvent {
         TraceEvent::from(Access::read(Addr::new(a)))
@@ -176,7 +176,7 @@ mod tests {
             TraceEvent::Work(10),
             TraceEvent::from(Access::write(Addr::new(0x40))),
         ]);
-        let (inserts, _) = place(&stream, &[1], 100, |_, a| a.kind.is_write());
+        let (inserts, _) = place(&stream, &[1], 100, |_, kind| kind.is_write());
         assert_eq!(inserts.len(), 1);
         assert!(inserts[0].exclusive);
         assert_eq!(inserts[0].at, 0);

@@ -129,7 +129,7 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Prefetch { addr, exclusive } => Some((*addr, *exclusive)),
+                TraceEvent::Prefetch { addr, exclusive } => Some((addr.unpack(), *exclusive)),
                 _ => None,
             })
             .collect();

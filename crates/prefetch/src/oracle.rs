@@ -15,7 +15,7 @@ use charlie_trace::{ProcTrace, TraceEvent};
 pub(crate) fn oracle_misses(stream: &ProcTrace, geometry: CacheGeometry) -> Vec<u32> {
     let mut filter = FilterCache::new(geometry);
     marked_indices(stream, |ev| match ev {
-        TraceEvent::Access { addr, .. } => !filter.access(*addr),
+        TraceEvent::Access { addr, .. } => !filter.access(addr.unpack()),
         _ => false,
     })
 }

@@ -18,7 +18,9 @@ use crate::oracle::oracle_misses;
 use crate::pws::pws_extra;
 use crate::{rmw, Strategy};
 use charlie_cache::CacheGeometry;
-use charlie_trace::{Access, Addr, ProcTrace, SharingMap, Trace, TraceEvent, ValidateTraceError};
+use charlie_trace::{
+    AccessKind, PackedAddr, ProcTrace, SharingMap, Trace, TraceEvent, ValidateTraceError,
+};
 
 /// One software prefetch to stream into a processor's raw events.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -28,7 +30,7 @@ pub struct Insertion {
     /// Fetch in exclusive (read-for-ownership) mode.
     pub exclusive: bool,
     /// Address whose line is prefetched.
-    pub addr: Addr,
+    pub addr: PackedAddr,
 }
 
 /// A strategy's prefetches for one raw trace: per processor, the insertion
@@ -138,8 +140,8 @@ impl TraceMarks {
             .enumerate()
             .map(|(p, (_, stream))| {
                 let events = stream.events();
-                let exclusive = |i: usize, a: Access| {
-                    if a.kind.is_write() {
+                let exclusive = |i: usize, kind: AccessKind| {
+                    if kind.is_write() {
                         strategy.exclusive_writes()
                     } else {
                         strategy.exclusive_rmw() && rmw::write_follows(events, i, geometry)
@@ -322,7 +324,14 @@ impl<'a> ProcStream<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charlie_trace::TraceBuilder;
+    use charlie_trace::{Addr, TraceBuilder};
+
+    #[test]
+    fn insertion_is_twelve_bytes() {
+        // A plan holds one insertion per prefetch; the packed address keeps
+        // it at 12 bytes where a 64-bit one would take 16.
+        assert_eq!(std::mem::size_of::<Insertion>(), 12);
+    }
 
     #[test]
     fn cursor_counts_merged_events() {

@@ -28,10 +28,9 @@ pub(crate) fn pws_extra(
     );
     let mut filter = FilterCache::pws_default();
     marked_indices(stream, |ev| match ev {
-        TraceEvent::Access { addr, .. }
-            if sharing.is_write_shared(addr.line(geometry.block_bytes())) =>
-        {
-            !filter.access(*addr)
+        TraceEvent::Access { addr, .. } => {
+            let addr = addr.unpack();
+            sharing.is_write_shared(addr.line(geometry.block_bytes())) && !filter.access(addr)
         }
         _ => false,
     })

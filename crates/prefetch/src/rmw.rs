@@ -101,7 +101,7 @@ mod tests {
         let inserts = plan.proc(0);
         assert_eq!(inserts.len(), 1);
         assert!(inserts[0].exclusive);
-        assert_eq!(inserts[0].addr, Addr::new(0x100));
+        assert_eq!(inserts[0].addr.unpack(), Addr::new(0x100));
     }
 
     #[test]

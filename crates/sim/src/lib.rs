@@ -1216,6 +1216,52 @@ mod tests {
         );
     }
 
+    /// Fast-forward coherence is traced like detailed coherence: in a
+    /// sampled run traced on one line, every `fill` of that line is preceded
+    /// by a fill `snoop` of it for the same processor, and the fast windows'
+    /// snoops carry `"txn":"ff"`.
+    #[test]
+    fn sampled_runs_trace_a_snoop_before_every_fill() {
+        let proc_of = |event: &str| {
+            let at = event.find("ProcId(").map(|i| i + 7).or_else(|| {
+                event.find("\"proc\":").map(|i| i + 7)
+            });
+            let digits = &event[at.expect("event names a processor")..];
+            let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap_or(digits.len());
+            digits[..end].parse::<usize>().expect("processor index")
+        };
+        let (mut ff_snoops, mut bus_snoops) = (0, 0);
+        for seed in 0..10 {
+            let (n, t) = contended_mixed_trace(seed);
+            let cfg = SimConfig { num_procs: n, warmup_accesses: 0, ..SimConfig::default() };
+            let sink = sample::TestSink::default();
+            let cats = TraceCategories { bus: false, coherence: true, prefetch: false };
+            let tracer =
+                TraceEmitter::new(Box::new(sink.clone()), cats).with_line_filter("LineAddr(0x101)");
+            let obs = Observability { sample: None, tracer: Some(tracer) };
+            run(&cfg, (&t).into(), true, obs, Some(&SamplePlan::periodic(16, 3, 1))).unwrap();
+            let text = sink.text();
+            let mut unfilled = vec![0usize; n];
+            for event in text.lines() {
+                if event.contains("\"ev\":\"snoop\"") {
+                    if event.contains("\"txn\":\"ff\"") {
+                        ff_snoops += 1;
+                    } else {
+                        bus_snoops += 1;
+                    }
+                    if event.contains("Fill {") {
+                        unfilled[proc_of(event)] += 1;
+                    }
+                } else if event.contains("\"ev\":\"fill\"") {
+                    let p = proc_of(event);
+                    assert!(unfilled[p] > 0, "seed {seed}: fill without a snoop: {event}");
+                    unfilled[p] -= 1;
+                }
+            }
+        }
+        assert!(ff_snoops > 0 && bus_snoops > 0, "ff {ff_snoops}, bus {bus_snoops}");
+    }
+
     /// Degenerate plans and leftover statistics warm-up are rejected up
     /// front, not at panic depth.
     #[test]

@@ -750,10 +750,12 @@ impl<'t> Machine<'t> {
             }
             TraceEvent::Access { addr, kind } => {
                 self.procs[p].pending =
-                    Some(PendingAccess::new(Access { addr, kind }, Purpose::Demand));
+                    Some(PendingAccess::new(Access { addr: addr.unpack(), kind }, Purpose::Demand));
                 Flow::Continue
             }
-            TraceEvent::Prefetch { addr, exclusive } => self.dispatch_prefetch(p, addr, exclusive),
+            TraceEvent::Prefetch { addr, exclusive } => {
+                self.dispatch_prefetch(p, addr.unpack(), exclusive)
+            }
             TraceEvent::LockAcquire(id) => {
                 self.charge_dispatch_cycle(p);
                 let addr = self.cfg.lock_addr(id);
@@ -926,17 +928,17 @@ impl<'t> Machine<'t> {
         self.issue_prefetch(p, line, BusOp::Read, 0, true);
     }
 
-    /// A demand access touched `line` in processor `p`'s cache: if a
-    /// hardware prefetch brought it in and it had not been used yet, that
-    /// prefetch graduates to `useful`.
+    /// A demand access touched `line` in processor `p`'s cache;
+    /// `first_use`: a prefetch filled the frame and had not been used
+    /// since. If a hardware prefetch brought it in, that prefetch graduates
+    /// to `useful`.
     ///
     /// Every line in `unused[p]` was filled by a prefetch and not used
     /// since: invalidation and eviction remove it under that same frame
     /// condition. So a hit on any other frame skips the set lookup.
-    fn hw_note_useful(&mut self, p: usize, line: LineAddr, way: u32, now: u64) {
+    fn hw_note_useful(&mut self, p: usize, line: LineAddr, first_use: bool, now: u64) {
         let Some(hw) = self.hw.as_mut() else { return };
-        let frame = self.caches[p].frame(line, way);
-        if !frame.filled_by_prefetch() || frame.used_since_fill() {
+        if !first_use {
             debug_assert!(
                 !hw.unused[p].contains(&line),
                 "unused hardware prefetch {line:?} on a used or demand-filled frame"
@@ -963,23 +965,19 @@ impl<'t> Machine<'t> {
         match self.caches[p].probe_line(line) {
             Probe::Hit { way, state } => match protocol::local_access(self.cfg.protocol, state, is_write) {
                 LocalAction::Hit(new_state) => {
-                    if self.tracer.is_some() {
-                        let fr = self.caches[p].frame(line, way);
-                        if fr.filled_by_prefetch() && !fr.used_since_fill() {
-                            if let Some(tr) = &mut self.tracer {
-                                tr.prefetch(now, p, line, "used");
-                            }
-                        }
-                    }
-                    if self.hw.is_some() {
-                        self.hw_note_useful(p, line, way, now);
-                    }
                     let frame = self.caches[p].frame_mut(line, way);
+                    let first_use = frame.filled_by_prefetch() && !frame.used_since_fill();
                     if is_write {
                         frame.record_write_retire(word);
                     } else {
                         frame.record_access(word, new_state);
                     }
+                    if first_use {
+                        if let Some(tr) = &mut self.tracer {
+                            tr.prefetch(now, p, line, "used");
+                        }
+                    }
+                    self.hw_note_useful(p, line, first_use, now);
                     self.charge_access_cycles(p);
                     self.count_access(p, is_write);
                     // The predictor observes every retiring demand access
@@ -999,11 +997,10 @@ impl<'t> Machine<'t> {
                     // set the frame state, so retire in place.
                     if pa.update_complete {
                         debug_assert!(self.cfg.protocol.is_update_based());
-                        if self.hw.is_some() {
-                            self.hw_note_useful(p, line, way, now);
-                        }
                         let frame = self.caches[p].frame_mut(line, way);
+                        let first_use = frame.filled_by_prefetch() && !frame.used_since_fill();
                         frame.record_access(word, state);
+                        self.hw_note_useful(p, line, first_use, now);
                         self.charge_access_cycles(p);
                         self.count_access(p, is_write);
                         if self.hw.is_some() && matches!(pa.purpose, Purpose::Demand) {
@@ -1135,6 +1132,12 @@ impl<'t> Machine<'t> {
     /// No write-back is posted for a dirty supplier: memory updates are
     /// free on a bus that is not being timed.
     fn ff_fill(&mut self, p: usize, line: LineAddr, op: BusOp, word: u32, by: FillFor) {
+        let proc = ProcId(p as u8);
+        let action = match by {
+            FillFor::Demand => TxnAction::DemandFill { proc, line, op },
+            FillFor::Prefetch { .. } => TxnAction::PrefetchFill { proc, line, op },
+        };
+        self.trace_snoop(self.procs[p].t, None, line, action);
         let snoop = self.snoop_peers(p, line, op, word, self.procs[p].t);
         match by {
             FillFor::Demand => {
@@ -1165,6 +1168,7 @@ impl<'t> Machine<'t> {
         proc.t += lat;
         proc.stats.stall_cycles += lat;
         let now = proc.t;
+        self.trace_snoop(now, None, line, TxnAction::Upgrade { proc: ProcId(p as u8), line });
         let snoop = self.snoop_peers(p, line, op, word, now);
         self.complete_upgrade(p, line, snoop.others);
         self.verify_line(line);
@@ -1471,20 +1475,26 @@ impl<'t> Machine<'t> {
         snoop
     }
 
+    /// Traces the snoop of `line` for `action` with every cache's state
+    /// before it; `txn` is `None` for a fast-forward snoop.
+    fn trace_snoop(&mut self, now: u64, txn: Option<TxnId>, line: LineAddr, action: TxnAction) {
+        if self.tracer.as_ref().is_some_and(|t| t.wants_coherence(line)) {
+            let states: Vec<_> =
+                (0..self.cfg.num_procs).map(|q| self.caches[q].state_of(line)).collect();
+            let action = format!("{action:?}");
+            let states = format!("{states:?}");
+            if let Some(tr) = &mut self.tracer {
+                tr.snoop(now, txn, line, &action, &states);
+            }
+        }
+    }
+
     /// Applies coherence effects at grant time (address broadcast): the
     /// peers' snoop, recorded for the completion, plus the reflective
     /// write-back of a dirty supplier.
     fn apply_snoops(&mut self, now: u64, id: TxnId, line: LineAddr) {
         let info = self.txns[id.index()].expect("granted txn is registered");
-        if self.tracer.as_ref().is_some_and(|t| t.wants_coherence(line)) {
-            let states: Vec<_> =
-                (0..self.cfg.num_procs).map(|q| self.caches[q].state_of(line)).collect();
-            let action = format!("{:?}", info.action);
-            let states = format!("{states:?}");
-            if let Some(tr) = &mut self.tracer {
-                tr.snoop(now, id, line, &action, &states);
-            }
-        }
+        self.trace_snoop(now, Some(id), line, info.action);
         let (proc, op) = match info.action {
             TxnAction::WriteBack => return,
             TxnAction::DemandFill { proc, op, .. } | TxnAction::PrefetchFill { proc, op, .. } => {

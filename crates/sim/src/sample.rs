@@ -402,15 +402,17 @@ impl TraceEmitter {
         self.finish();
     }
 
-    /// A snoop broadcast at grant time. `action` and `states` are debug
-    /// renderings (the old `CHARLIE_DEBUG_LINE` payload).
-    pub fn snoop(&mut self, t: u64, id: TxnId, line: LineAddr, action: &str, states: &str) {
+    /// A snoop broadcast: at grant time for bus transaction `txn`, or, with
+    /// `txn` `None`, by a fast-forward fill or upgrade (its `txn` field
+    /// reads `ff`). `action` and `states` are debug renderings (the old
+    /// `CHARLIE_DEBUG_LINE` payload).
+    pub fn snoop(&mut self, t: u64, txn: Option<TxnId>, line: LineAddr, action: &str, states: &str) {
         if !self.wants_coherence(line) {
             return;
         }
         self.start(t, "coherence", "snoop");
-        let id = id.to_string();
-        self.str_field("txn", &id);
+        let txn = txn.map_or_else(|| "ff".to_owned(), |id| id.to_string());
+        self.str_field("txn", &txn);
         let line = format!("{line:?}");
         self.str_field("line", &line);
         self.str_field("action", action);
@@ -477,6 +479,30 @@ impl Observability {
     /// Sampling only, at the given cadence.
     pub fn sampled(interval: u64) -> Self {
         Observability { sample: Some(SampleConfig::every(interval)), tracer: None }
+    }
+}
+
+/// A trace sink for tests: an in-memory buffer its clones share.
+#[cfg(test)]
+#[derive(Clone, Default)]
+pub(crate) struct TestSink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+#[cfg(test)]
+impl TestSink {
+    /// Everything written so far.
+    pub(crate) fn text(&self) -> String {
+        String::from_utf8(self.0.lock().expect("sink lock").clone()).expect("UTF-8 trace")
+    }
+}
+
+#[cfg(test)]
+impl Write for TestSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("sink lock").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -601,31 +627,17 @@ mod tests {
 
     #[test]
     fn emitter_respects_categories_and_line_filter() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Sink(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let sink = Sink::default();
+        let sink = TestSink::default();
         let cats = TraceCategories { bus: true, coherence: false, prefetch: true };
         let mut tr = TraceEmitter::new(Box::new(sink.clone()), cats).with_line_filter("7");
         let l7 = LineAddr::from_raw(7);
         let l9 = LineAddr::from_raw(9);
         tr.prefetch(10, 0, l7, "issued");
         tr.prefetch(11, 0, l9, "issued"); // filtered: line mismatch
-        tr.snoop(12, txn_id(), l7, "a", "s"); // filtered: category off
+        tr.snoop(12, Some(txn_id()), l7, "a", "s"); // filtered: category off
         tr.prefetch_with(13, 1, l7, "executed", "outcome", "hit");
         drop(tr);
-        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let text = sink.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"t\":10,\"cat\":\"prefetch\",\"ev\":\"issued\""));
@@ -635,22 +647,11 @@ mod tests {
 
     #[test]
     fn emitter_escapes_strings() {
-        use std::sync::{Arc, Mutex};
-        struct Sink(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let store = Arc::new(Mutex::new(Vec::new()));
-        let mut tr = TraceEmitter::new(Box::new(Sink(store.clone())), TraceCategories::all());
-        tr.snoop(0, txn_id(), LineAddr::from_raw(1), "say \"hi\"\\", "s");
+        let sink = TestSink::default();
+        let mut tr = TraceEmitter::new(Box::new(sink.clone()), TraceCategories::all());
+        tr.snoop(0, Some(txn_id()), LineAddr::from_raw(1), "say \"hi\"\\", "s");
         drop(tr);
-        let text = String::from_utf8(store.lock().unwrap().clone()).unwrap();
+        let text = sink.text();
         assert!(text.contains("say \\\"hi\\\"\\\\"));
     }
 }

@@ -66,6 +66,59 @@ impl From<u64> for Addr {
     }
 }
 
+/// A byte address packed into 48 bits, as trace events store it.
+///
+/// Three little-endian `u16` words with alignment 2, so an address and a
+/// one-byte field fit beside an enum tag in 8 bytes: a resident trace is
+/// half the size it would be with a 64-bit [`Addr`]. 48 bits cover any
+/// address the workloads generate (all lie below the `0xF000_0000` sync
+/// region) with room to spare. The only ways in are checked:
+/// [`PackedAddr::new`] and [`PackedAddr::pack`].
+///
+/// `Debug` prints exactly as the unpacked [`Addr`] does.
+#[derive(Copy, Clone, PartialEq, Eq, Hash)]
+pub struct PackedAddr([u16; 3]);
+
+impl PackedAddr {
+    /// The largest address that packs: 2^48 − 1.
+    pub const MAX: u64 = (1 << 48) - 1;
+
+    /// Packs `addr`, or returns `None` if it exceeds [`PackedAddr::MAX`].
+    pub const fn new(addr: Addr) -> Option<Self> {
+        let raw = addr.0;
+        if raw > Self::MAX {
+            return None;
+        }
+        Some(PackedAddr([raw as u16, (raw >> 16) as u16, (raw >> 32) as u16]))
+    }
+
+    /// Packs `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the address, if it exceeds [`PackedAddr::MAX`].
+    #[track_caller]
+    pub fn pack(addr: Addr) -> Self {
+        match Self::new(addr) {
+            Some(packed) => packed,
+            None => panic!("address {addr} exceeds the 48-bit trace address limit"),
+        }
+    }
+
+    /// The address.
+    #[inline]
+    pub const fn unpack(self) -> Addr {
+        let [lo, mid, hi] = self.0;
+        Addr(lo as u64 | (mid as u64) << 16 | (hi as u64) << 32)
+    }
+}
+
+impl fmt::Debug for PackedAddr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.unpack(), f)
+    }
+}
+
 /// A block-granular (cache-line-granular) address: the byte address shifted
 /// right by the block size.
 ///
@@ -220,6 +273,17 @@ mod tests {
     fn addr_display_is_hex() {
         assert_eq!(Addr::new(0xff).to_string(), "0xff");
         assert_eq!(format!("{:?}", Addr::new(0xff)), "Addr(0xff)");
+    }
+
+    #[test]
+    fn packed_addr_holds_exactly_48_bits() {
+        for raw in [0, 0xF000_0000, PackedAddr::MAX] {
+            let packed = PackedAddr::new(Addr::new(raw));
+            assert_eq!(packed.map(PackedAddr::unpack), Some(Addr::new(raw)));
+        }
+        assert_eq!(PackedAddr::new(Addr::new(PackedAddr::MAX + 1)), None);
+        assert_eq!(PackedAddr::new(Addr::new(u64::MAX)), None);
+        assert_eq!(std::mem::align_of::<PackedAddr>(), 2);
     }
 
     #[test]

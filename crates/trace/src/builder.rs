@@ -1,7 +1,7 @@
 //! Fluent builders for constructing traces by hand (tests, examples, custom
 //! workloads).
 
-use crate::addr::Addr;
+use crate::addr::{Addr, PackedAddr};
 use crate::event::{Access, BarrierId, LockId, TraceEvent};
 use crate::stream::{ProcTrace, Trace};
 
@@ -10,6 +10,9 @@ use crate::stream::{ProcTrace, Trace};
 /// Barriers are numbered automatically per processor: each call to
 /// [`ProcTraceBuilder::barrier`] takes the episode id explicitly so the caller
 /// can keep processors aligned.
+///
+/// Every method that takes an address panics, naming it, if the address
+/// exceeds [`PackedAddr::MAX`].
 ///
 /// # Example
 ///
@@ -64,32 +67,37 @@ impl ProcTraceBuilder<'_> {
     }
 
     /// Appends a read of `addr`.
+    #[track_caller]
     pub fn read(&mut self, addr: Addr) -> &mut Self {
         self.stream.push(Access::read(addr).into());
         self
     }
 
     /// Appends a write of `addr`.
+    #[track_caller]
     pub fn write(&mut self, addr: Addr) -> &mut Self {
         self.stream.push(Access::write(addr).into());
         self
     }
 
     /// Appends an arbitrary access.
+    #[track_caller]
     pub fn access(&mut self, access: Access) -> &mut Self {
         self.stream.push(access.into());
         self
     }
 
     /// Appends a shared-mode prefetch of `addr`'s line.
+    #[track_caller]
     pub fn prefetch(&mut self, addr: Addr) -> &mut Self {
-        self.stream.push(TraceEvent::Prefetch { addr, exclusive: false });
+        self.stream.push(TraceEvent::Prefetch { addr: PackedAddr::pack(addr), exclusive: false });
         self
     }
 
     /// Appends an exclusive-mode prefetch of `addr`'s line.
+    #[track_caller]
     pub fn prefetch_exclusive(&mut self, addr: Addr) -> &mut Self {
-        self.stream.push(TraceEvent::Prefetch { addr, exclusive: true });
+        self.stream.push(TraceEvent::Prefetch { addr: PackedAddr::pack(addr), exclusive: true });
         self
     }
 
@@ -138,11 +146,19 @@ mod tests {
         let ev = t.proc(0).events();
         assert_eq!(ev.len(), 8);
         assert_eq!(ev[0], TraceEvent::Work(3));
-        assert_eq!(ev[3], TraceEvent::Prefetch { addr: Addr::new(0x40), exclusive: false });
-        assert_eq!(ev[4], TraceEvent::Prefetch { addr: Addr::new(0x60), exclusive: true });
+        let prefetch =
+            |a, exclusive| TraceEvent::Prefetch { addr: PackedAddr::pack(Addr::new(a)), exclusive };
+        assert_eq!(ev[3], prefetch(0x40, false));
+        assert_eq!(ev[4], prefetch(0x60, true));
         assert_eq!(ev[5], TraceEvent::LockAcquire(LockId(2)));
         assert_eq!(ev[7], TraceEvent::Barrier(BarrierId(0)));
         assert!(t.validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x1000000000000 exceeds the 48-bit")]
+    fn builder_rejects_addresses_past_48_bits() {
+        TraceBuilder::new(1).proc(0).prefetch(Addr::new(PackedAddr::MAX + 1));
     }
 
     #[test]

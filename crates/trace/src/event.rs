@@ -1,6 +1,6 @@
 //! Trace events: the alphabet each per-processor stream is written in.
 
-use crate::addr::Addr;
+use crate::addr::{Addr, PackedAddr};
 use std::fmt;
 
 /// Whether a memory access reads or writes.
@@ -74,11 +74,12 @@ pub enum TraceEvent {
     /// `n` cycles of pure CPU work (non-memory instructions).
     Work(u32),
     /// A demand data access. The fields are inline rather than an
-    /// [`Access`] so the enum's tag fits beside them: an event is 16 bytes
-    /// instead of 24 (pinned by a unit test below).
+    /// [`Access`], and the address is packed into 48 bits, so the enum's
+    /// tag fits beside them: an event is 8 bytes (pinned by a unit test
+    /// below) where a 64-bit address would make it 16.
     Access {
         /// Byte address accessed.
-        addr: Addr,
+        addr: PackedAddr,
         /// Read or write.
         kind: AccessKind,
     },
@@ -89,7 +90,7 @@ pub enum TraceEvent {
     /// invalidating other cached copies.
     Prefetch {
         /// Address whose line is prefetched.
-        addr: Addr,
+        addr: PackedAddr,
         /// Fetch in exclusive (read-for-ownership) mode.
         exclusive: bool,
     },
@@ -122,7 +123,7 @@ impl TraceEvent {
     /// Returns the contained access if this is an [`TraceEvent::Access`].
     pub fn as_access(&self) -> Option<Access> {
         match *self {
-            TraceEvent::Access { addr, kind } => Some(Access { addr, kind }),
+            TraceEvent::Access { addr, kind } => Some(Access { addr: addr.unpack(), kind }),
             _ => None,
         }
     }
@@ -138,8 +139,12 @@ impl TraceEvent {
 }
 
 impl From<Access> for TraceEvent {
+    /// # Panics
+    ///
+    /// Panics, naming the address, if it exceeds [`PackedAddr::MAX`].
+    #[track_caller]
     fn from(a: Access) -> Self {
-        TraceEvent::Access { addr: a.addr, kind: a.kind }
+        TraceEvent::Access { addr: PackedAddr::pack(a.addr), kind: a.kind }
     }
 }
 
@@ -152,7 +157,8 @@ mod tests {
         assert_eq!(TraceEvent::Work(17).estimated_cycles(), 17);
         assert_eq!(TraceEvent::from(Access::read(Addr::new(0))).estimated_cycles(), 2);
         assert_eq!(
-            TraceEvent::Prefetch { addr: Addr::new(0), exclusive: false }.estimated_cycles(),
+            TraceEvent::Prefetch { addr: PackedAddr::pack(Addr::new(0)), exclusive: false }
+                .estimated_cycles(),
             1
         );
         assert_eq!(TraceEvent::Barrier(BarrierId(0)).estimated_cycles(), 1);
@@ -160,10 +166,16 @@ mod tests {
     }
 
     #[test]
-    fn event_is_sixteen_bytes() {
-        // Traces hold millions of events; a 24-byte event is half again the
+    fn event_is_eight_bytes() {
+        // Traces hold millions of events; a 16-byte event doubles the
         // memory of a resident trace.
-        assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x1000000000000 exceeds the 48-bit")]
+    fn access_past_48_bits_panics() {
+        let _ = TraceEvent::from(Access::read(Addr::new(1 << 48)));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! `proc` header; every processor in `procs N` must get a header (even if
 //! its stream is empty).
 
-use crate::addr::Addr;
-use crate::event::{Access, BarrierId, LockId, TraceEvent};
+use crate::addr::{Addr, PackedAddr};
+use crate::event::{AccessKind, BarrierId, LockId, TraceEvent};
 use crate::stream::{ProcTrace, Trace};
 use std::error::Error;
 use std::fmt;
@@ -92,11 +92,11 @@ pub fn write_trace<W: Write>(trace: &Trace, mut out: W) -> std::io::Result<()> {
                 TraceEvent::Work(n) => writeln!(out, "w {n}")?,
                 TraceEvent::Access { addr, kind } => {
                     let tag = if kind.is_write() { 'W' } else { 'r' };
-                    writeln!(out, "{tag} {:#x}", addr.raw())?;
+                    writeln!(out, "{tag} {}", addr.unpack())?;
                 }
                 TraceEvent::Prefetch { addr, exclusive } => {
                     let tag = if *exclusive { 'P' } else { 'p' };
-                    writeln!(out, "{tag} {:#x}", addr.raw())?;
+                    writeln!(out, "{tag} {}", addr.unpack())?;
                 }
                 TraceEvent::LockAcquire(l) => writeln!(out, "l {}", l.0)?,
                 TraceEvent::LockRelease(l) => writeln!(out, "u {}", l.0)?,
@@ -227,6 +227,15 @@ pub fn read_trace<R: BufRead>(input: R) -> Result<Trace, ReadTraceError> {
                 .ok_or_else(|| pos.err(format!("expected an argument after `{tag}` ({what})")))?;
             parse_u64(token, pos, what)
         };
+        let addr = || -> Result<PackedAddr, ReadTraceError> {
+            let raw = arg("address")?;
+            PackedAddr::new(Addr::new(raw)).ok_or_else(|| {
+                pos.err(format!(
+                    "expected an address up to {:#x} (48 bits), found {raw:#x}",
+                    PackedAddr::MAX
+                ))
+            })
+        };
         if tag == "proc" {
             let p = arg("processor index")? as usize;
             if p >= num_procs {
@@ -244,10 +253,10 @@ pub fn read_trace<R: BufRead>(input: R) -> Result<Trace, ReadTraceError> {
         };
         let ev = match tag {
             "w" => TraceEvent::Work(arg("work cycles")? as u32),
-            "r" => Access::read(Addr::new(arg("address")?)).into(),
-            "W" => Access::write(Addr::new(arg("address")?)).into(),
-            "p" => TraceEvent::Prefetch { addr: Addr::new(arg("address")?), exclusive: false },
-            "P" => TraceEvent::Prefetch { addr: Addr::new(arg("address")?), exclusive: true },
+            "r" => TraceEvent::Access { addr: addr()?, kind: AccessKind::Read },
+            "W" => TraceEvent::Access { addr: addr()?, kind: AccessKind::Write },
+            "p" => TraceEvent::Prefetch { addr: addr()?, exclusive: false },
+            "P" => TraceEvent::Prefetch { addr: addr()?, exclusive: true },
             "l" => TraceEvent::LockAcquire(LockId(arg("lock id")? as u32)),
             "u" => TraceEvent::LockRelease(LockId(arg("lock id")? as u32)),
             "b" => TraceEvent::Barrier(BarrierId(arg("barrier id")? as u32)),
@@ -386,6 +395,20 @@ W 68     # decimal address
         let err =
             read_trace("charlie-trace v1\nprocs 1\nproc 0\nr 0xZZ\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("expected address"));
+    }
+
+    #[test]
+    fn rejects_addresses_past_48_bits_with_line_and_byte() {
+        let input = "charlie-trace v1\nprocs 1\nproc 0\nr 0xffffffffffff\nP 0x1000000000000\n";
+        let err = read_trace(input.as_bytes()).unwrap_err();
+        match err {
+            ReadTraceError::Parse { line, byte, message } => {
+                assert_eq!(line, 5);
+                assert_eq!(byte, input.find("P 0x1").unwrap());
+                assert!(message.contains("found 0x1000000000000"), "{message}");
+            }
+            other => panic!("expected parse error, got {other}"),
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod sharing;
 mod stats;
 mod stream;
 
-pub use addr::{Addr, LineAddr, ProcId, ProcMask};
+pub use addr::{Addr, LineAddr, PackedAddr, ProcId, ProcMask};
 pub use builder::{ProcTraceBuilder, TraceBuilder};
 pub use event::{Access, AccessKind, BarrierId, LockId, TraceEvent};
 pub use sharing::{LineClass, SharingMap, WordClass, WordSharingMap};

@@ -7,7 +7,7 @@
 
 use crate::addr::{LineAddr, ProcMask};
 use crate::stream::Trace;
-use std::collections::HashMap;
+use fxhash::FxHashMap;
 
 /// Word-level refinement of [`LineClass::WriteShared`]: is the sharing real
 /// or an artifact of the line granularity?
@@ -60,7 +60,9 @@ struct LineInfo {
 #[derive(Clone, Default)]
 pub struct SharingMap {
     block_bytes: u64,
-    lines: HashMap<LineAddr, LineInfo>,
+    /// Fx-hashed: the maps are built once per trace from every demand
+    /// access, and only ever answer lookups and order-free counts.
+    lines: FxHashMap<LineAddr, LineInfo>,
 }
 
 impl SharingMap {
@@ -73,7 +75,7 @@ impl SharingMap {
     /// Panics if `block_bytes` is not a power of two.
     pub fn analyze(trace: &Trace, block_bytes: u64) -> Self {
         assert!(block_bytes.is_power_of_two(), "block size must be a power of two");
-        let mut lines: HashMap<LineAddr, LineInfo> = HashMap::new();
+        let mut lines: FxHashMap<LineAddr, LineInfo> = FxHashMap::default();
         for (p, stream) in trace.iter() {
             for access in stream.accesses() {
                 let info = lines.entry(access.addr.line(block_bytes)).or_default();
@@ -159,7 +161,7 @@ struct WordInfo {
 #[derive(Clone)]
 pub struct WordSharingMap {
     block_bytes: u64,
-    lines: HashMap<LineAddr, Vec<WordInfo>>,
+    lines: FxHashMap<LineAddr, Vec<WordInfo>>,
     line_map: SharingMap,
 }
 
@@ -172,7 +174,7 @@ impl WordSharingMap {
     pub fn analyze(trace: &Trace, block_bytes: u64) -> Self {
         assert!(block_bytes.is_power_of_two(), "block size must be a power of two");
         let words_per_line = (block_bytes / 4) as usize;
-        let mut lines: HashMap<LineAddr, Vec<WordInfo>> = HashMap::new();
+        let mut lines: FxHashMap<LineAddr, Vec<WordInfo>> = FxHashMap::default();
         for (p, stream) in trace.iter() {
             for access in stream.accesses() {
                 let line = access.addr.line(block_bytes);

@@ -257,7 +257,7 @@ impl Error for ValidateTraceError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::Addr;
+    use crate::addr::{Addr, PackedAddr};
     use crate::event::{BarrierId, LockId};
 
     fn acc(a: u64) -> TraceEvent {
@@ -269,7 +269,7 @@ mod tests {
         let t = ProcTrace::from_events(vec![
             TraceEvent::Work(5),
             acc(0x100),
-            TraceEvent::Prefetch { addr: Addr::new(0x200), exclusive: false },
+            TraceEvent::Prefetch { addr: PackedAddr::pack(Addr::new(0x200)), exclusive: false },
             acc(0x200),
         ]);
         assert_eq!(t.len(), 4);
@@ -284,7 +284,8 @@ mod tests {
         let mut tr = Trace::new(2);
         tr.proc_mut(0).push(acc(0));
         tr.proc_mut(1).push(acc(4));
-        tr.proc_mut(1).push(TraceEvent::Prefetch { addr: Addr::new(8), exclusive: true });
+        tr.proc_mut(1)
+            .push(TraceEvent::Prefetch { addr: PackedAddr::pack(Addr::new(8)), exclusive: true });
         assert_eq!(tr.num_procs(), 2);
         assert_eq!(tr.total_accesses(), 2);
         assert_eq!(tr.total_prefetches(), 1);

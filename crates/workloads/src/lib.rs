@@ -358,11 +358,11 @@ mod tests {
                     }
                     TraceEvent::Access { addr, kind } => {
                         eat(&[if kind.is_write() { 3 } else { 2 }]);
-                        eat(&addr.raw().to_le_bytes());
+                        eat(&addr.unpack().raw().to_le_bytes());
                     }
                     TraceEvent::Prefetch { addr, exclusive } => {
                         eat(&[4, u8::from(*exclusive)]);
-                        eat(&addr.raw().to_le_bytes());
+                        eat(&addr.unpack().raw().to_le_bytes());
                     }
                     TraceEvent::LockAcquire(id) => {
                         eat(&[5]);

@@ -95,6 +95,7 @@ proptest! {
             let ev = out.proc(p).events();
             for (i, e) in ev.iter().enumerate() {
                 if let TraceEvent::Prefetch { addr, .. } = e {
+                    let addr = addr.unpack();
                     let line = addr.line(32);
                     let used = ev[i + 1..].iter().any(|later| {
                         later.as_access().is_some_and(|a| a.addr.line(32) == line)
@@ -170,6 +171,7 @@ proptest! {
             // there is no sync event.
             for (i, e) in ev.iter().enumerate() {
                 if let TraceEvent::Prefetch { addr, .. } = e {
+                    let addr = addr.unpack();
                     let line = addr.line(32);
                     for later in &ev[i + 1..] {
                         if later.as_access().is_some_and(|a| a.addr.line(32) == line) {
@@ -211,10 +213,11 @@ fn reference_marks(strategy: Strategy, trace: &Trace, geometry: CacheGeometry) -
             .iter()
             .map(|ev| match ev {
                 TraceEvent::Access { addr, kind } => {
-                    let miss = !oracle.access(*addr);
+                    let addr = addr.unpack();
+                    let miss = !oracle.access(addr);
                     let extra = strategy.prefetches_write_shared()
                         && sharing.is_write_shared(addr.line(geometry.block_bytes()))
-                        && !pws.access(*addr);
+                        && !pws.access(addr);
                     Mark {
                         prefetch: miss || extra,
                         exclusive: strategy.exclusive_writes() && kind.is_write(),

@@ -2,7 +2,7 @@
 //! byte-exactly, and the parser never panics on arbitrary input.
 
 use charlie::trace::io::{read_trace, write_trace};
-use charlie::trace::{Trace, TraceBuilder};
+use charlie::trace::{Addr, PackedAddr, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -19,9 +19,9 @@ enum Ev {
 fn arb_trace() -> impl proptest::strategy::Strategy<Value = Trace> {
     let ev = prop_oneof![
         (1u32..1000).prop_map(Ev::Work),
-        (0u64..1 << 40).prop_map(Ev::Read),
-        (0u64..1 << 40).prop_map(Ev::Write),
-        ((0u64..1 << 40), any::<bool>()).prop_map(|(a, e)| Ev::Prefetch(a, e)),
+        (0u64..=PackedAddr::MAX).prop_map(Ev::Read),
+        (0u64..=PackedAddr::MAX).prop_map(Ev::Write),
+        ((0u64..=PackedAddr::MAX), any::<bool>()).prop_map(|(a, e)| Ev::Prefetch(a, e)),
         (0u32..8).prop_map(Ev::Lock),
         (0u32..8).prop_map(Ev::Unlock),
         Just(Ev::Barrier),
@@ -38,16 +38,16 @@ fn arb_trace() -> impl proptest::strategy::Strategy<Value = Trace> {
                         pb.work(n);
                     }
                     Ev::Read(a) => {
-                        pb.read(charlie::trace::Addr::new(a));
+                        pb.read(Addr::new(a));
                     }
                     Ev::Write(a) => {
-                        pb.write(charlie::trace::Addr::new(a));
+                        pb.write(Addr::new(a));
                     }
                     Ev::Prefetch(a, false) => {
-                        pb.prefetch(charlie::trace::Addr::new(a));
+                        pb.prefetch(Addr::new(a));
                     }
                     Ev::Prefetch(a, true) => {
-                        pb.prefetch_exclusive(charlie::trace::Addr::new(a));
+                        pb.prefetch_exclusive(Addr::new(a));
                     }
                     Ev::Lock(l) => {
                         pb.lock(l);
@@ -77,6 +77,14 @@ proptest! {
         write_trace(&trace, &mut buf).expect("write succeeds");
         let back = read_trace(buf.as_slice()).expect("parse our own output");
         prop_assert_eq!(back, trace);
+    }
+
+    /// Every address a trace event can hold survives packing into 48 bits.
+    #[test]
+    fn packed_addr_round_trips(raw in 0u64..=PackedAddr::MAX) {
+        let packed = PackedAddr::new(Addr::new(raw)).expect("in range");
+        prop_assert_eq!(packed.unpack(), Addr::new(raw));
+        prop_assert_eq!(format!("{packed:?}"), format!("{:?}", Addr::new(raw)));
     }
 
     /// The parser returns errors — never panics — on arbitrary text.
