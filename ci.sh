@@ -81,9 +81,6 @@ echo "== prefetch planner equivalence (release, 512 cases) =="
 # builds run 512 random traces.
 cargo test -q --release -p charlie --test prefetch_props
 
-echo "== benches compile =="
-cargo bench --no-run -q
-
 echo "== perfbench builds and passes its own tests =="
 # perfbench is a package of its own (outside the workspace) that drives the
 # serve and core APIs; building it here turns an API change that breaks the
@@ -226,8 +223,7 @@ echo "== full-grid differential: degree-0 hardware prefetcher =="
 # the entire paper grid with an online prefetcher configured at degree 0
 # must reproduce experiments_output.txt byte-for-byte.
 grid=$(mktemp -t charlie-ci-grid.XXXXXX)
-CHARLIE_HW_PREFETCH=stride:0 cargo run -q --release -p charlie-bench \
-    --bin all_experiments >"$grid" 2>/dev/null
+"${CLI[@]}" experiments all --jobs 0 --hw-prefetch stride:0 >"$grid" 2>/dev/null
 if ! cmp -s experiments_output.txt "$grid"; then
     echo "FAIL: full grid with a degree-0 hardware prefetcher differs from" >&2
     echo "      experiments_output.txt" >&2
@@ -248,7 +244,7 @@ echo "== sampled simulation: calibration gate + exact-path identity =="
 # Second: with the sampling code in the tree but --sample-mode absent, the
 # exact path must still reproduce the golden grid byte-for-byte.
 grid=$(mktemp -t charlie-ci-sampled.XXXXXX)
-cargo run -q --release -p charlie-bench --bin all_experiments >"$grid" 2>/dev/null
+"${CLI[@]}" experiments all --jobs 0 >"$grid" 2>/dev/null
 if ! cmp -s experiments_output.txt "$grid"; then
     echo "FAIL: exact path (sampling off) no longer reproduces" >&2
     echo "      experiments_output.txt" >&2

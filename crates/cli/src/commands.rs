@@ -97,6 +97,20 @@ fn hw_prefetch_from_args(args: &Args) -> Result<HwPrefetchConfig, ArgsError> {
     }
 }
 
+/// The lab machine of `experiments` and `calibrate`: `--refs`, `--procs`,
+/// `--seed`, `--protocol` and `--hw-prefetch` over [`RunConfig::default`].
+fn run_config_from_args(args: &Args) -> Result<RunConfig, ArgsError> {
+    let defaults = RunConfig::default();
+    Ok(RunConfig {
+        procs: args.get_or("procs", defaults.procs)?,
+        refs_per_proc: args.get_or("refs", defaults.refs_per_proc)?,
+        seed: args.get_or("seed", defaults.seed)?,
+        protocol: protocol_from_args(args)?,
+        hw_prefetch: hw_prefetch_from_args(args)?,
+        ..defaults
+    })
+}
+
 /// Plans the strategy and builds the machine config shared by `run`,
 /// `run-trace` and `profile`.
 pub(crate) fn prepare_cell(
@@ -471,22 +485,8 @@ pub fn sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
         // finish. A resumed sweep renders byte-identical output. The journal
         // header pins the campaign shape, so resuming with a different
         // workload/layout/procs/refs/seed refuses instead of mixing grids.
-        let mut config = format!(
-            "sweep/{}/{:?}/p{}/r{}/s{:#x}",
-            workload.name(),
-            wcfg.layout,
-            wcfg.procs,
-            wcfg.refs_per_proc,
-            wcfg.seed
-        );
-        // Appended only for non-default protocols so Illinois journals stay
-        // byte-identical to campaigns written before the knob existed; a
-        // resume across a protocol change refuses with a config mismatch
-        // naming both keys.
-        if protocol != Protocol::WriteInvalidate {
-            config.push_str("/proto=");
-            config.push_str(protocol.key_name());
-        }
+        let name = format!("sweep/{}/{:?}", workload.name(), wcfg.layout);
+        let config = lab.config().journal_key(&name);
         let opts = charlie::checkpoint::JournalOptions { config: Some(config), sync: false };
         let (mut journal, restored) = charlie::checkpoint::Journal::open_with(Path::new(path), opts)
             .map_err(|e| ArgsError(format!("--resume {path}: {e}")))?;
@@ -570,73 +570,82 @@ pub fn run_trace<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
     simulate_prepared(&label, &trace, strategy, &opts, Observability::default(), args.switch("json"), out)
 }
 
-/// `charlie experiments`.
+/// `charlie experiments`: renders the named exhibits (default `all`) from
+/// one batch per lab configuration their cells name.
 pub fn experiments<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
-    args.expect_known(&["jobs"])?;
-    let jobs = parse_jobs(args);
-    let mut lab = Lab::new(RunConfig::default());
-    let names: Vec<String> = if args.positional.is_empty() {
-        vec!["all".to_owned()]
+    args.expect_known(&["jobs", "refs", "procs", "seed", "hw-prefetch", "resume", "svg-dir"])?;
+    let names: Vec<&str> = if args.positional.is_empty() {
+        vec!["all"]
     } else {
-        args.positional.clone()
+        args.positional.iter().map(String::as_str).collect()
     };
-    // Batch every requested exhibit's cells through the parallel engine up
-    // front; the exhibit functions below then run from the memo. Bail before
-    // rendering if any cell failed — exhibits would re-simulate (and panic
-    // on) the missing cells.
-    let grid: Vec<Experiment> =
-        names.iter().flat_map(|name| exhibits::grid_for(name)).collect();
-    let report = lab.run_batch(&grid, jobs);
-    bail_on_failures(&report)?;
-    let csv = args.switch("csv");
-    let emit = |out: &mut W, table: &charlie::Table| {
-        if csv {
-            let _ = write!(out, "{}", table.to_csv());
-        } else {
-            let _ = writeln!(out, "{table}");
+    // Every name is checked before anything simulates.
+    let chosen = names
+        .iter()
+        .map(|&name| {
+            exhibits::exhibit(name).ok_or_else(|| {
+                ArgsError(format!("unknown exhibit {name:?}; `charlie help` lists them"))
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let cfg = run_config_from_args(args)?;
+    let svg_dir = args.get("svg-dir");
+    let mut cells: Vec<(RunConfig, Experiment)> =
+        chosen.iter().flat_map(|e| (e.cells)(&cfg)).collect();
+    if svg_dir.is_some() {
+        cells.extend((exhibits::exhibit("figure2").expect("registered").cells)(&cfg));
+    }
+
+    let mut labs = exhibits::Labs::new(cfg, parse_jobs(args));
+    let reports = match args.get("resume") {
+        // The shared lab's cells journal under the key the paper-grid
+        // campaign has always used, so existing journals resume.
+        Some(path) => {
+            let config = Some(cfg.journal_key("all_experiments"));
+            let opts = charlie::checkpoint::JournalOptions { config, sync: false };
+            let (mut journal, restored) =
+                charlie::checkpoint::Journal::open_with(Path::new(path), opts)
+                    .map_err(|e| ArgsError(format!("--resume {path}: {e}")))?;
+            if !restored.is_empty() {
+                eprintln!("resuming: {} cells restored from {path}", restored.len());
+            }
+            for summary in restored {
+                labs.shared().restore(summary);
+            }
+            labs.run(&cells, Some(&mut journal))
         }
+        None => labs.run(&cells, None),
     };
-    for name in names {
-        match name.as_str() {
-            "table1" => emit(out, &exhibits::table1(&mut lab)),
-            "figure1" => emit(out, &exhibits::figure1(&mut lab)),
-            "table2" => emit(out, &exhibits::table2(&mut lab)),
-            "figure2" => {
-                for panel in exhibits::figure2(&mut lab) {
-                    emit(out, &panel);
-                }
-            }
-            "figure3" => emit(out, &exhibits::figure3(&mut lab)),
-            "table3" => emit(out, &exhibits::table3(&mut lab)),
-            "table4" => emit(out, &exhibits::table4(&mut lab)),
-            "table5" => emit(out, &exhibits::table5(&mut lab)),
-            "proc-util" => emit(out, &exhibits::processor_utilization(&mut lab)),
-            // Post-paper exhibit; deliberately not part of "all", whose
-            // output is pinned byte-for-byte to the paper grid.
-            "hw-prefetch" => {
-                for table in exhibits::hw_prefetch_head_to_head(&mut lab) {
-                    emit(out, &table);
-                }
-            }
-            "protocols" => {
-                for table in exhibits::protocol_head_to_head(&mut lab) {
-                    emit(out, &table);
-                }
-            }
-            "all" => {
-                emit(out, &exhibits::table1(&mut lab));
-                emit(out, &exhibits::figure1(&mut lab));
-                emit(out, &exhibits::table2(&mut lab));
-                for panel in exhibits::figure2(&mut lab) {
-                    emit(out, &panel);
-                }
-                emit(out, &exhibits::figure3(&mut lab));
-                emit(out, &exhibits::table3(&mut lab));
-                emit(out, &exhibits::table4(&mut lab));
-                emit(out, &exhibits::table5(&mut lab));
-                emit(out, &exhibits::processor_utilization(&mut lab));
-            }
-            other => return Err(ArgsError(format!("unknown exhibit {other:?}"))),
+    // Bail before rendering if any cell failed: exhibits would re-simulate
+    // (and panic on) the missing cells.
+    for report in &reports {
+        eprintln!(
+            "batch: {} simulations on {} workers in {:.1} ms, {} memo hits",
+            report.executed,
+            report.jobs,
+            report.wall_nanos as f64 / 1e6,
+            report.memo_hits
+        );
+        bail_on_failures(report)?;
+    }
+    for exhibit in chosen {
+        let text = (exhibit.render)(&mut labs, args.switch("csv")).map_err(|failures| {
+            eprintln!("{failures}");
+            ArgsError(format!(
+                "{} experiment cell(s) failed; see stderr for details",
+                failures.0.len()
+            ))
+        })?;
+        let _ = write!(out, "{text}");
+    }
+    if let Some(dir) = svg_dir {
+        std::fs::create_dir_all(dir).map_err(|e| ArgsError(format!("--svg-dir {dir}: {e}")))?;
+        for w in Workload::ALL {
+            let svg = exhibits::figure2_chart(labs.shared(), w).to_svg();
+            let path = Path::new(dir).join(format!("figure2_{}.svg", w.name().to_lowercase()));
+            std::fs::write(&path, svg)
+                .map_err(|e| ArgsError(format!("writing {}: {e}", path.display())))?;
+            eprintln!("wrote {}", path.display());
         }
     }
     Ok(())
@@ -739,14 +748,7 @@ pub fn calibrate<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
             return Err(ArgsError(format!("unknown --grid {other:?} (quick, paper)")))
         }
     };
-    let cfg = RunConfig {
-        procs: args.get_or("procs", 8usize)?,
-        refs_per_proc: args.get_or("refs", 160_000usize)?,
-        seed: args.get_or("seed", 0xC0FFEEu64)?,
-        protocol: protocol_from_args(args)?,
-        hw_prefetch: hw_prefetch_from_args(args)?,
-        ..RunConfig::default()
-    };
+    let cfg = run_config_from_args(args)?;
     let jobs = Lab::resolve_jobs(parse_jobs(args));
     let cal = charlie::calibrate(&cfg, &scfg, &grid, jobs)
         .map_err(|e| ArgsError(e.to_string()))?;

@@ -102,15 +102,36 @@ COMMANDS:
   run-trace      simulate a text trace file
                    --file FILE  [--transfer N --strategy np|pref|… --warmup N
                    --victim N --protocol … --hw-prefetch … --check --json]
-  experiments    regenerate paper exhibits
+  experiments    regenerate exhibits (default all); every name is checked
+                 before anything simulates
                    positional: table1 figure1 table2 figure2 figure3 table3
-                               table4 table5 proc-util all   [--csv --jobs N]
+                               table4 table5 proc-util
+                   all:        the paper grid (Tables 1-5, Figures 1-3, 4.2
+                               utilizations), byte-identical to
+                               experiments_output.txt
+                   anchors:    NP baselines next to the paper's published
+                               bus and processor utilizations
+                   cache-size block-size:  3.3 geometry sweeps
+                   ablation-distance ablation-cache ablation-priority
+                   ablation-buffer:  4.3/3.3 prefetch distance, associativity
+                               and victim buffers, bus priority, buffer depth
+                   excl-rmw latency-profile sharing:  read-modify-write
+                               prefetching, fill-latency histograms, static
+                               word-sharing analysis
                    hw-prefetch: on-line stride/SMS/Markov hardware
                                prefetchers vs the oracle PREF strategy
                                (post-paper; not included in \"all\")
                    protocols:  Illinois vs Firefly vs Dragon vs MOESI
                                coherence, NP and PREF, all five workloads
                                (post-paper; not included in \"all\")
+                   --refs N --procs N --seed N --hw-prefetch SPEC
+                                  the shared lab's machine
+                   --resume FILE  journal the shared lab's cells to FILE and
+                                  restore them on a rerun (the resumed output
+                                  is byte-identical)
+                   --svg-dir DIR  also write Figure 2's panels to
+                                  DIR/figure2_<workload>.svg
+                   [--csv --jobs N]
   bench          time the representative grid slice (Mp3d x all strategies x
                  all latencies) and print a BENCH_charlie.json-style snapshot
                    --quick          ~8x smaller slice (the CI smoke size)
@@ -189,7 +210,7 @@ COMMANDS:
   submit         submit a campaign to a running daemon and render the
                  streamed cells exactly as the local commands would
                    --grid paper      the full paper grid; stdout is
-                                     byte-identical to all_experiments
+                                     byte-identical to experiments all
                    --workload NAME   the Figure-2 sweep grid for NAME;
                                      stdout is byte-identical to `charlie
                                      sweep` (honors --layout and --json)
@@ -222,8 +243,10 @@ OPTIONS:
                  in isolation.
 
 ENVIRONMENT:
-  CHARLIE_REFS / CHARLIE_PROCS / CHARLIE_SEED set experiment-suite defaults;
-  CHARLIE_JOBS sets the worker count for the charlie-bench binaries.
+  CHARLIE_REFS sets the default references per processor of experiments,
+  calibrate and submit. CHARLIE_JOBS, CHARLIE_PROCS, CHARLIE_SEED,
+  CHARLIE_HW_PREFETCH, CHARLIE_CHECKPOINT and CHARLIE_SVG_DIR are not read:
+  use the experiments flags.
   CHARLIE_DEBUG_LINE=HEX streams coherence trace events touching that line
   address to stderr (shorthand for --trace-out /dev/stderr --trace-cats
   coherence plus a line filter).
@@ -494,6 +517,44 @@ mod tests {
         let (code, text) = run(&["experiments", "table99"]);
         assert_eq!(code, 2);
         assert!(text.contains("unknown exhibit"));
+    }
+
+    /// Every name is checked before anything simulates: a bad name after a
+    /// good one prints no table.
+    #[test]
+    fn experiments_rejects_unknown_exhibit_before_simulating() {
+        let (code, text) = run(&["experiments", "table1", "bogus", "--refs", "600"]);
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("unknown exhibit \"bogus\""), "{text}");
+        assert!(!text.contains("Table 1"), "{text}");
+    }
+
+    /// `experiments all` prints the shared paper-grid render, header
+    /// included, and a resumed run reprints it from its journal alone.
+    #[test]
+    fn experiments_all_is_the_paper_grid_and_resumes() {
+        let mut lab = charlie::Lab::new(charlie::RunConfig {
+            procs: 2,
+            refs_per_proc: 600,
+            ..charlie::RunConfig::default()
+        });
+        lab.prefetch_all(2);
+        let expected = charlie::experiments::paper_grid(&mut lab);
+        let args = ["experiments", "all", "--refs", "600", "--procs", "2", "--jobs", "2"];
+        let (code, text) = run(&args);
+        assert_eq!(code, 0, "{text}");
+        assert_eq!(text, expected);
+
+        let dir = std::env::temp_dir().join(format!("charlie-cli-exp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("all.ckpt");
+        let mut resumed = args.to_vec();
+        resumed.extend(["--resume", ckpt.to_str().unwrap()]);
+        assert_eq!(run(&resumed), (0, expected.clone()));
+        let journal_len = std::fs::metadata(&ckpt).unwrap().len();
+        assert_eq!(run(&resumed), (0, expected), "resumed run");
+        assert_eq!(std::fs::metadata(&ckpt).unwrap().len(), journal_len, "nothing re-ran");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn sweep_args(jobs: &str) -> Vec<&str> {

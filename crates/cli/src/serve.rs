@@ -2,8 +2,8 @@
 //! (a campaign client that renders daemon-streamed cells exactly like the
 //! local batch commands would).
 //!
-//! `submit --grid paper` reproduces the stdout of the `all_experiments`
-//! binary byte-for-byte, and `submit --workload W` that of `charlie sweep`:
+//! `submit --grid paper` reproduces the stdout of `charlie experiments all`
+//! byte-for-byte, and `submit --workload W` that of `charlie sweep`:
 //! the daemon streams journal-format summaries, the client restores them
 //! into a [`Lab`] memo, and the exhibits render from that memo — the same
 //! code path as a local run, fed from the wire instead of the simulator.
@@ -290,7 +290,9 @@ pub fn submit<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
     // Render exactly what the local commands would have printed: the memo
     // is fully populated, so the exhibits below are pure lookups.
     match workload {
-        None => render_paper_grid(&mut lab, out),
+        None => {
+            let _ = write!(out, "{}", exhibits::paper_grid(&mut lab));
+        }
         Some(w) => render_sweep(&mut lab, w, layout, args.switch("json"), out),
     }
     Ok(())
@@ -395,39 +397,12 @@ fn submit_fleet<W: Write>(
     eprintln!("campaign {}: {total}/{total} cells (fleet of {workers})", m.token);
 
     match workload {
-        None => render_paper_grid(&mut lab, out),
+        None => {
+            let _ = write!(out, "{}", exhibits::paper_grid(&mut lab));
+        }
         Some(w) => render_sweep(&mut lab, w, layout, args.switch("json"), out),
     }
     Ok(())
-}
-
-/// The `all_experiments` stdout, byte-for-byte.
-fn render_paper_grid<W: Write>(lab: &mut Lab, out: &mut W) {
-    let c = *lab.config();
-    let _ = writeln!(
-        out,
-        "== all experiments — {} procs, {} refs/proc, seed {:#x} ==\n",
-        c.procs, c.refs_per_proc, c.seed
-    );
-    let _ = writeln!(out, "{}", exhibits::table1(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::figure1(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::table2(lab));
-    let _ = writeln!(out);
-    for panel in exhibits::figure2(lab) {
-        let _ = writeln!(out, "{panel}");
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out, "{}", exhibits::figure3(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::table3(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::table4(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::table5(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::processor_utilization(lab));
 }
 
 /// The `charlie sweep` stdout, byte-for-byte.

@@ -413,131 +413,12 @@ fn decode_timeline(v: &Json) -> Result<Timeline, String> {
     Ok(Timeline { interval: v.field("interval")?.num()?, windows })
 }
 
-/// Encodes a `(key, report)` pair as one journal line — the variant the
-/// `config_sweep` binary uses for cells whose knobs live outside
-/// [`Experiment`] (geometry and trace-length sweeps). The key is an opaque
-/// caller-chosen cell name.
-pub fn encode_keyed_report(key: &str, report: &SimReport) -> String {
-    let mut s = String::with_capacity(1280);
-    let _ = write!(s, "{{\"v\":{VERSION},");
-    push_str_field(&mut s, "key", key);
-    let _ = write!(s, "\"report\":{}}}", encode_report(report));
-    s
-}
-
-/// Decodes one [`encode_keyed_report`] line.
-pub fn decode_keyed_report(line: &str) -> Result<(String, SimReport), String> {
-    let v = parse_line(line)?;
-    check_version(&v)?;
-    Ok((v.field("key")?.str()?.to_owned(), decode_report(v.field("report")?)?))
-}
-
-/// Keyed checkpoint journal for cells whose knobs live outside
-/// [`Experiment`](crate::Experiment) (geometry, trace-length, and hardware
-/// prefetcher sweeps): `done` maps caller-chosen cell keys to restored
-/// reports, and `append` journals new completions. Shares [`Journal`]'s
-/// line framing and recovery classification, and — like `Journal` — routes
-/// every compaction through [`chaos::write_atomic`] (temp + fsync + rename
-/// + parent-directory fsync), so a crash mid-compaction can never lose
-/// CRC-valid completed cells.
-pub struct KeyedJournal {
-    done: std::collections::HashMap<String, SimReport>,
-    file: ChaosWriter<File>,
-}
-
-impl KeyedJournal {
-    /// Opens (or creates) the journal: torn tails and CRC-failed lines are
-    /// dropped with a warning and compacted away; a version or config-key
-    /// mismatch or an unreadable header refuses to resume.
-    pub fn open(path: &Path, config: &str) -> io::Result<KeyedJournal> {
-        let refuse = |line: usize, msg: String| invalid_data(path, line, msg);
-        let mut content = String::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut content)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        // A trailing line without '\n' is a kill mid-write: drop it (that
-        // cell re-runs). A complete line failing its CRC is corruption:
-        // drop it too, with a distinct warning.
-        let complete_len = content.rfind('\n').map_or(0, |i| i + 1);
-        let mut damaged = complete_len < content.len();
-        let lines: Vec<&str> =
-            content[..complete_len].lines().filter(|l| !l.trim().is_empty()).collect();
-        let mut done = std::collections::HashMap::new();
-        let mut survivors: Vec<&str> = Vec::new();
-        if let Some((&first, records)) = lines.split_first() {
-            match unframe_line(first)
-                .map_err(|e| e.to_string())
-                .and_then(decode_journal_header)
-            {
-                Ok((_version, found)) if found == config => {}
-                Ok((_version, found)) => {
-                    return Err(refuse(
-                        1,
-                        format!(
-                            "journal was written for config {found:?} but this sweep is \
-                             {config:?}; refusing to resume — delete the checkpoint or point \
-                             it elsewhere"
-                        ),
-                    ))
-                }
-                Err(e) => return Err(refuse(1, format!("bad journal header ({e})"))),
-            }
-            for (i, &line) in records.iter().enumerate() {
-                match unframe_line(line).and_then(decode_keyed_report) {
-                    Ok((key, report)) => {
-                        done.insert(key, report);
-                        survivors.push(line);
-                    }
-                    Err(e) => {
-                        damaged = true;
-                        eprintln!(
-                            "warning: checkpoint {}:{}: dropping corrupt line ({e}); \
-                             that cell re-runs",
-                            path.display(),
-                            i + 2
-                        );
-                    }
-                }
-            }
-        }
-        // Compact damage away (and stamp the header on a fresh journal)
-        // before appending, so the file never grafts onto torn bytes.
-        if damaged || lines.is_empty() {
-            let mut out = encode_journal_header(config);
-            for line in &survivors {
-                out.push_str(line);
-                out.push('\n');
-            }
-            chaos::write_atomic(path, out.as_bytes(), "journal")?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(KeyedJournal { done, file: ChaosWriter::new(file, "journal") })
-    }
-
-    /// Cells restored at open, by key.
-    pub fn done(&self) -> &std::collections::HashMap<String, SimReport> {
-        &self.done
-    }
-
-    /// Appends one completed cell (best-effort, like [`Journal::append`]:
-    /// journaling is an optimization over re-running the cell).
-    pub fn append(&mut self, key: &str, report: &SimReport) {
-        let line = frame_line(&encode_keyed_report(key, report));
-        let _ = self.file.write_all(line.as_bytes()).and_then(|()| self.file.flush());
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Line framing (v2): `crc32-hex SP json NL` per line, header line first.
 // ---------------------------------------------------------------------------
 
 /// Frames one journal payload as a full line: eight lowercase hex digits of
 /// [`chaos::crc32`] over the payload, one space, the payload, a newline.
-/// Shared by [`Journal`] and the keyed journal in the `config_sweep` binary.
 pub fn frame_line(json: &str) -> String {
     format!("{:08x} {json}\n", chaos::crc32(json.as_bytes()))
 }
@@ -1557,15 +1438,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_report_round_trips_exactly() {
-        let summary = sample_summary();
-        let line = encode_keyed_report("cache/Mp3d/16KB", &summary.report);
-        let (key, report) = decode_keyed_report(&line).expect("round trip");
-        assert_eq!(key, "cache/Mp3d/16KB");
-        assert_eq!(report, summary.report);
-    }
-
-    #[test]
     fn empty_latency_distribution_round_trips() {
         // NP runs on hit-heavy traces can produce an empty fill-latency
         // distribution; its min is the u64::MAX sentinel.
@@ -1812,10 +1684,10 @@ mod tests {
 
     #[test]
     fn keys_with_quotes_and_backslashes_survive() {
-        let report = SimReport::default();
-        let line = encode_keyed_report("odd \"key\" with \\ slash", &report);
-        let (key, _) = decode_keyed_report(&line).unwrap();
-        assert_eq!(key, "odd \"key\" with \\ slash");
+        let key = "odd \"key\" with \\ slash";
+        let header = encode_journal_header(key);
+        let payload = unframe_line(header.trim_end()).unwrap();
+        assert_eq!(decode_journal_header(payload).unwrap(), (VERSION, key.to_owned()));
     }
 
     fn lease(event: LeaseEvent, cell: u64, worker: &str, gen: u64, deadline_ms: u64) -> LeaseRecord {

@@ -81,7 +81,8 @@ pub struct RunConfig {
     pub seed: u64,
     /// Per-processor cache geometry (the paper's experiments use
     /// 32 KB direct-mapped with 32-byte blocks; §3.3 discusses other
-    /// configurations, reproduced by the `config_sweep` binary).
+    /// configurations, reproduced by the `cache-size`, `block-size` and
+    /// `ablation-cache` exhibits).
     pub geometry: CacheGeometry,
     /// Per-run wall-clock watchdog in milliseconds
     /// ([`SimConfig::wall_limit_ms`]); 0 (the default, overridable with the
@@ -132,6 +133,38 @@ impl Default for RunConfig {
             protocol: Protocol::WriteInvalidate,
             sampling: None,
         }
+    }
+}
+
+impl RunConfig {
+    /// The checkpoint-journal config key of campaign `name` on this
+    /// machine: `name/p…/r…/s…`, then `/hw=`, `/proto=` and `/smp=` each
+    /// only when that knob is not the default, so journals written before a
+    /// knob existed keep their keys and stay resumable. Every journaled
+    /// campaign (`sweep`, `experiments`, the serve daemon) keys through
+    /// here, so a resume under a different machine refuses.
+    pub fn journal_key(&self, name: &str) -> String {
+        let mut key =
+            format!("{name}/p{}/r{}/s{:#x}", self.procs, self.refs_per_proc, self.seed);
+        if self.hw_prefetch.is_enabled() {
+            key.push_str(&format!("/hw={}", self.hw_prefetch));
+        }
+        if self.protocol != Protocol::WriteInvalidate {
+            key.push_str(&format!("/proto={}", self.protocol.key_name()));
+        }
+        if let Some(s) = self.sampling {
+            key.push_str(&format!(
+                "/smp={}:{}:{}:{}:{}:{}:{}",
+                s.mode.name(),
+                s.window_accesses,
+                s.period,
+                s.warmup,
+                s.max_k,
+                s.seed,
+                s.cold
+            ));
+        }
+        key
     }
 }
 
@@ -1102,6 +1135,32 @@ mod tests {
 
     fn tiny_lab() -> Lab {
         Lab::new(RunConfig { procs: 4, refs_per_proc: 2_000, seed: 7, ..RunConfig::default() })
+    }
+
+    /// The keys `experiments --resume` and `sweep --resume` journals were
+    /// written under before `journal_key` built them: old journals must
+    /// still resume. (The daemon's keys are pinned in `charlie-serve`.)
+    #[test]
+    fn journal_keys_match_historical_journals() {
+        let paper =
+            RunConfig { procs: 8, refs_per_proc: 160_000, seed: 0xC0FFEE, ..RunConfig::default() };
+        assert_eq!(paper.journal_key("all_experiments"), "all_experiments/p8/r160000/s0xc0ffee");
+        let hw = RunConfig { hw_prefetch: HwPrefetchConfig::stride(2, 4), ..paper };
+        assert_eq!(
+            hw.journal_key("all_experiments"),
+            "all_experiments/p8/r160000/s0xc0ffee/hw=stride:2:4"
+        );
+        let off = RunConfig { hw_prefetch: HwPrefetchConfig::parse("stride:0").unwrap(), ..paper };
+        assert_eq!(off.journal_key("all_experiments"), "all_experiments/p8/r160000/s0xc0ffee");
+
+        let sweep = RunConfig { procs: 2, refs_per_proc: 900, ..paper };
+        let name = format!("sweep/{}/{:?}", Workload::Water.name(), Layout::Interleaved);
+        assert_eq!(sweep.journal_key(&name), "sweep/Water/Interleaved/p2/r900/s0xc0ffee");
+        let moesi = RunConfig { protocol: Protocol::Moesi, ..sweep };
+        assert_eq!(
+            moesi.journal_key("sweep/Mp3d/Padded"),
+            "sweep/Mp3d/Padded/p2/r900/s0xc0ffee/proto=moesi"
+        );
     }
 
     #[test]

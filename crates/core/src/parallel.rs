@@ -5,9 +5,9 @@
 //! and returns the outputs *in input order*, so callers see exactly what a
 //! serial `iter().map().collect()` would have produced — the scheduling
 //! nondeterminism stays internal. [`Lab::run_batch`](crate::Lab::run_batch)
-//! builds on this, and the ablation/bench binaries use it directly for
-//! sweeps whose knobs live outside [`Experiment`](crate::Experiment)
-//! (prefetch distance, arbitration policy, alternative geometries).
+//! builds on this, and the ablation exhibits use it directly for sweeps
+//! whose knobs live outside [`Experiment`](crate::Experiment) (prefetch
+//! distance, arbitration policy, buffer depth, victim buffers).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;

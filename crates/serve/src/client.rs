@@ -18,7 +18,7 @@ use charlie::{Experiment, Protocol, RunSummary, SamplingConfig};
 #[derive(Clone, Debug)]
 pub enum Grid {
     /// The full paper grid (the daemon expands it; what
-    /// `all_experiments` simulates).
+    /// `charlie experiments all` simulates).
     Paper,
     /// An explicit cell list, streamed back in this order.
     Cells(Vec<Experiment>),

@@ -970,41 +970,7 @@ pub(crate) fn campaign_key(cfg: &RunConfig, cells: &[Experiment]) -> (String, St
     for exp in cells {
         grid.push_str(&wire::encode_experiment(*exp));
     }
-    let hw = if cfg.hw_prefetch.is_enabled() {
-        format!("/hw={}", cfg.hw_prefetch)
-    } else {
-        String::new()
-    };
-    // Like /hw=, appended only for non-default protocols so existing
-    // Illinois campaign journals keep their keys (and tokens) unchanged.
-    let proto = if cfg.protocol != Protocol::WriteInvalidate {
-        format!("/proto={}", cfg.protocol.key_name())
-    } else {
-        String::new()
-    };
-    // Sampled campaigns get distinct keys (and thus journals and tokens)
-    // from exact ones over the same grid; absent for exact mode so every
-    // pre-sampling journal keeps its key.
-    let smp = match cfg.sampling {
-        Some(s) => format!(
-            "/smp={}:{}:{}:{}:{}:{}:{}",
-            s.mode.name(),
-            s.window_accesses,
-            s.period,
-            s.warmup,
-            s.max_k,
-            s.seed,
-            s.cold
-        ),
-        None => String::new(),
-    };
-    let key = format!(
-        "serve/p{}/r{}/s{:#x}{hw}{proto}{smp}/g{:016x}",
-        cfg.procs,
-        cfg.refs_per_proc,
-        cfg.seed,
-        RetryPolicy::salt(&grid)
-    );
+    let key = format!("{}/g{:016x}", cfg.journal_key("serve"), RetryPolicy::salt(&grid));
     let token = format!("c{:016x}", RetryPolicy::salt(&key));
     (key, token)
 }
@@ -1379,10 +1345,14 @@ mod tests {
         let cache = MemoCache::new(cap);
         for exhibit in EXHIBITS {
             for user in 0..users {
-                let cfg = cell_config(&RunConfig { seed: user, ..tiny_cfg() });
-                let claims: Vec<(Experiment, Claim)> = experiments::grid_for(exhibit)
+                // The shared lab's cells: a campaign runs on one machine.
+                let base = RunConfig { seed: user, ..tiny_cfg() };
+                let cfg = cell_config(&base);
+                let cells = (experiments::exhibit(exhibit).expect("registered").cells)(&base);
+                let claims: Vec<(Experiment, Claim)> = cells
                     .into_iter()
-                    .map(|exp| (exp, cache.claim((cfg, exp))))
+                    .filter(|&(c, _)| c == base)
+                    .map(|(_, exp)| (exp, cache.claim((cfg, exp))))
                     .collect();
                 for (exp, claim) in claims {
                     if let Claim::Run(_) = claim {
@@ -1520,6 +1490,52 @@ mod tests {
     /// Sampled campaigns live under their own journal key (and token):
     /// they can never coalesce with an exact run of the same grid, and
     /// exact-mode keys are unchanged from before sampling existed.
+    /// The keys (and tokens) campaign journals were written under before
+    /// the key suffix moved to `RunConfig::journal_key`: existing daemon
+    /// journals must stay resumable.
+    #[test]
+    fn campaign_keys_match_historical_journals() {
+        use charlie::prefetch::HwPrefetchConfig;
+        let cells = vec![Experiment::paper(Workload::Water, Strategy::Pref, 8)];
+        let base = RunConfig { procs: 2, refs_per_proc: 600, seed: 3, ..RunConfig::default() };
+        let golden = [
+            (base, "serve/p2/r600/s0x3/g396d90b792dd07a5", "c3997d25f64171a61"),
+            (
+                RunConfig { hw_prefetch: HwPrefetchConfig::stride(2, 4), ..base },
+                "serve/p2/r600/s0x3/hw=stride:2:4/g396d90b792dd07a5",
+                "cc0299558bd54c71d",
+            ),
+            (
+                RunConfig { protocol: Protocol::Dragon, ..base },
+                "serve/p2/r600/s0x3/proto=dragon/g396d90b792dd07a5",
+                "c7af9221f787a0eb8",
+            ),
+            (
+                RunConfig { sampling: Some(charlie::SamplingConfig::smarts()), ..base },
+                "serve/p2/r600/s0x3/smp=smarts:4096:37:2:0:0:8/g396d90b792dd07a5",
+                "c1de9715019b89ab2",
+            ),
+            (
+                RunConfig {
+                    hw_prefetch: HwPrefetchConfig::markov(2),
+                    protocol: Protocol::Moesi,
+                    sampling: Some(charlie::SamplingConfig::simpoint()),
+                    ..base
+                },
+                "serve/p2/r600/s0x3/hw=markov:2:0/proto=moesi/smp=simpoint:4096:0:1:8:24301:0\
+                 /g396d90b792dd07a5",
+                "ccd8f86a607f7a944",
+            ),
+        ];
+        for (cfg, key, token) in golden {
+            assert_eq!(campaign_key(&cfg, &cells), (key.to_owned(), token.to_owned()));
+        }
+        let paper = RunConfig { procs: 8, refs_per_proc: 160_000, seed: 0xC0FFEE, ..base };
+        let (key, token) = campaign_key(&paper, &experiments::full_grid());
+        assert_eq!(key, "serve/p8/r160000/s0xc0ffee/ga14f08d5a83a1615");
+        assert_eq!(token, "cadcf32d6b03a78f5");
+    }
+
     #[test]
     fn campaign_key_separates_sampled_from_exact() {
         let cells = vec![Experiment::paper(Workload::Water, Strategy::Pref, 8)];
