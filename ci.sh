@@ -95,10 +95,12 @@ echo "== perfbench grids reproduce their reference checksums =="
 # "correct": true. Its peak resident set must also stay under a ceiling:
 # a batch holds one raw trace per worker (generated at first use, dropped
 # after its last cell), so peak memory follows the work in flight, not the
-# campaign. With 8-byte trace events it reads about 18 MB (sampled_grid)
-# and 8 MB (exact_grid); 16-byte events read 30 MB and 11 MB, and holding
-# every trace of the grid at once read 186 MB and 42 MB.
-declare -A rss_ceiling_mb=([exact_grid]=12 [sampled_grid]=24)
+# campaign. With each work gap folded into the access after it (one 8-byte
+# slot per reference) it reads about 12.3 MB (sampled_grid) and 6.9 MB
+# (exact_grid); an 8-byte slot per event read 18 MB and 8 MB, 16-byte
+# events 30 MB and 11 MB, and holding every trace of the grid at once
+# 186 MB and 42 MB.
+declare -A rss_ceiling_mb=([exact_grid]=10 [sampled_grid]=16)
 for workload in exact_grid sampled_grid; do
     if ! bench_out=$(env GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 \
         cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \

@@ -1,7 +1,7 @@
 //! Placement of prefetch instructions into an event stream.
 
 use crate::plan::Insertion;
-use charlie_trace::{AccessKind, ProcTrace, TraceEvent};
+use charlie_trace::{Access, ProcTrace, Slots, TraceEvent};
 
 /// The sorted union of two ascending index lists.
 pub(crate) fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -38,59 +38,120 @@ pub(crate) fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// the latest point at least `distance` cycles behind it. Both only move
 /// forward, because marks ascend and the cycle count never decreases.
 /// `lead` then finishes the stream, so the pass also returns the stream's
-/// [`ProcTrace::estimated_cycles`].
+/// [`ProcTrace::estimated_cycles`]. `exclusive` gets each marked access and
+/// the index of the stored slot after it.
+///
+/// The cursors step over stored slots ([`ProcTrace::slots`]), a work gap and
+/// the access after it at once, but count logical event indices: an
+/// insertion may still land between a gap and its access.
 pub(crate) fn place(
     stream: &ProcTrace,
     marked: &[u32],
     distance: u64,
-    mut exclusive: impl FnMut(usize, AccessKind) -> bool,
+    mut exclusive: impl FnMut(Access, usize) -> bool,
 ) -> (Vec<Insertion>, u64) {
-    let events = stream.events();
     assert!(
-        marked.last().is_none_or(|&i| (i as usize) < events.len()),
+        marked.last().is_none_or(|&i| (i as usize) < stream.len()),
         "marks must index the stream's events"
     );
+    let slots = stream.slots();
     let mut out = Vec::with_capacity(marked.len());
-    // Cycles before event `lead`; first index after the last sync before it.
-    let (mut lead, mut lead_cycles, mut boundary) = (0usize, 0u64, 0usize);
-    // Cycles before event `trail`.
-    let (mut trail, mut trail_cycles) = (0usize, 0u64);
+    let mut lead = Cursor::default();
+    // First index after the last sync before `lead`.
+    let mut boundary = 0;
+    let mut trail = Cursor::default();
     for &i in marked {
         let i = i as usize;
-        while lead < i {
-            let ev = &events[lead];
-            lead_cycles += ev.estimated_cycles();
-            lead += 1;
+        // Whole slots whose event lies before `i`, then a gap just before it.
+        while let Some((gap, ev)) = lead.rest(slots) {
+            if lead.index + usize::from(gap > 0) >= i {
+                if lead.index < i {
+                    lead.pass_gap(gap);
+                }
+                break;
+            }
+            lead.pass_gap(gap);
+            lead.pass_event(ev);
             if ev.is_sync() {
-                boundary = lead;
+                boundary = lead.index;
             }
         }
-        let TraceEvent::Access { addr, kind } = events[i] else { continue };
-        let at = if lead_cycles <= distance {
+        let Some((0, TraceEvent::Access { addr, kind })) = lead.rest(slots) else { continue };
+        let at = if lead.cycles <= distance {
             0
         } else {
-            let target = lead_cycles - distance;
-            while trail < i && trail_cycles + events[trail].estimated_cycles() <= target {
-                trail_cycles += events[trail].estimated_cycles();
-                trail += 1;
+            let target = lead.cycles - distance;
+            while let Some((gap, ev)) = trail.rest(slots) {
+                if gap > 0 {
+                    if trail.index >= i || trail.cycles + u64::from(gap) > target {
+                        break;
+                    }
+                    trail.pass_gap(gap);
+                }
+                if trail.index >= i || trail.cycles + ev.estimated_cycles() > target {
+                    break;
+                }
+                trail.pass_event(ev);
             }
-            trail
+            trail.index
         };
         out.push(Insertion {
             at: at.max(boundary) as u32,
-            exclusive: exclusive(i, kind),
+            exclusive: exclusive(Access { addr: addr.unpack(), kind }, lead.slot + 1),
             addr,
         });
     }
-    let total = lead_cycles + events[lead..].iter().map(TraceEvent::estimated_cycles).sum::<u64>();
-    (out, total)
+    let slot_cycles = |(gap, ev): (u32, TraceEvent)| u64::from(gap) + ev.estimated_cycles();
+    let rest = (lead.slot + 1..).map_while(|k| slots.get(k)).map(slot_cycles).sum::<u64>();
+    (out, lead.cycles + lead.rest(slots).map_or(0, slot_cycles) + rest)
+}
+
+/// A position in a stream's logical events: a stored slot, and whether its
+/// gap has been passed.
+#[derive(Default)]
+struct Cursor {
+    slot: usize,
+    gap_done: bool,
+    /// Logical index of the next event.
+    index: usize,
+    /// Estimated cycles of the events before it.
+    cycles: u64,
+}
+
+impl Cursor {
+    /// What is left of the current slot: its gap (0 once passed) and its
+    /// event; `None` at the end.
+    #[inline]
+    fn rest(&self, slots: Slots<'_>) -> Option<(u32, TraceEvent)> {
+        let (gap, ev) = slots.get(self.slot)?;
+        Some((if self.gap_done { 0 } else { gap }, ev))
+    }
+
+    /// Passes `gap`, what [`Cursor::rest`] left of the slot's gap.
+    #[inline]
+    fn pass_gap(&mut self, gap: u32) {
+        if gap > 0 {
+            self.cycles += u64::from(gap);
+            self.index += 1;
+            self.gap_done = true;
+        }
+    }
+
+    /// Passes the slot's event `ev`, once its gap is passed.
+    #[inline]
+    fn pass_event(&mut self, ev: TraceEvent) {
+        self.cycles += ev.estimated_cycles();
+        self.index += 1;
+        self.slot += 1;
+        self.gap_done = false;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::ProcStream;
-    use charlie_trace::{Access, Addr, BarrierId, TraceEvent};
+    use charlie_trace::{Addr, BarrierId};
 
     fn read(a: u64) -> TraceEvent {
         TraceEvent::from(Access::read(Addr::new(a)))
@@ -102,7 +163,7 @@ mod tests {
         let stream = ProcTrace::from_events(events);
         let (inserts, total) = place(&stream, marked, distance, |_, _| false);
         assert_eq!(total, stream.estimated_cycles());
-        ProcStream::new(stream.events(), &inserts).iter().collect()
+        ProcStream::new(&stream, &inserts).iter().collect()
     }
 
     fn prefetch_pos(out: &[TraceEvent]) -> usize {
@@ -176,7 +237,7 @@ mod tests {
             TraceEvent::Work(10),
             TraceEvent::from(Access::write(Addr::new(0x40))),
         ]);
-        let (inserts, _) = place(&stream, &[1], 100, |_, kind| kind.is_write());
+        let (inserts, _) = place(&stream, &[1], 100, |access, _| access.kind.is_write());
         assert_eq!(inserts.len(), 1);
         assert!(inserts[0].exclusive);
         assert_eq!(inserts[0].at, 0);

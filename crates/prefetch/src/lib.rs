@@ -127,9 +127,8 @@ mod tests {
         let prefetches: Vec<_> = out
             .proc(0)
             .events()
-            .iter()
             .filter_map(|e| match e {
-                TraceEvent::Prefetch { addr, exclusive } => Some((addr.unpack(), *exclusive)),
+                TraceEvent::Prefetch { addr, exclusive } => Some((addr.unpack(), exclusive)),
                 _ => None,
             })
             .collect();
@@ -146,9 +145,8 @@ mod tests {
         let ex: Vec<_> = out
             .proc(0)
             .events()
-            .iter()
             .filter_map(|e| match e {
-                TraceEvent::Prefetch { exclusive, .. } => Some(*exclusive),
+                TraceEvent::Prefetch { exclusive, .. } => Some(exclusive),
                 _ => None,
             })
             .collect();
@@ -200,7 +198,6 @@ mod tests {
         let pos = |tr: &Trace| {
             tr.proc(0)
                 .events()
-                .iter()
                 .position(|e| matches!(e, TraceEvent::Prefetch { .. }))
                 .expect("prefetch present")
         };

@@ -1,7 +1,7 @@
 //! The oracle miss predictor: a uniprocessor filter-cache pass.
 
 use charlie_cache::{CacheGeometry, FilterCache};
-use charlie_trace::{ProcTrace, TraceEvent};
+use charlie_trace::{Access, ProcTrace};
 
 /// Runs the stream's demand accesses through a uniprocessor cache of the
 /// same geometry as the real cache and returns the indices of the events
@@ -14,20 +14,16 @@ use charlie_trace::{ProcTrace, TraceEvent};
 /// processors).
 pub(crate) fn oracle_misses(stream: &ProcTrace, geometry: CacheGeometry) -> Vec<u32> {
     let mut filter = FilterCache::new(geometry);
-    marked_indices(stream, |ev| match ev {
-        TraceEvent::Access { addr, .. } => !filter.access(addr.unpack()),
-        _ => false,
-    })
+    marked_accesses(stream, |access| !filter.access(access.addr))
 }
 
-/// Indices of the events of `stream` that `mark` selects, ascending.
-pub(crate) fn marked_indices(
+/// Indices of the accesses of `stream` that `mark` selects, ascending.
+pub(crate) fn marked_accesses(
     stream: &ProcTrace,
-    mut mark: impl FnMut(&TraceEvent) -> bool,
+    mut mark: impl FnMut(Access) -> bool,
 ) -> Vec<u32> {
-    let events = stream.events();
-    assert!(u32::try_from(events.len()).is_ok(), "stream too long for u32 event indices");
-    (0u32..).zip(events).filter(|&(_, ev)| mark(ev)).map(|(i, _)| i).collect()
+    assert!(u32::try_from(stream.len()).is_ok(), "stream too long for u32 event indices");
+    stream.indexed_accesses().filter(|&(_, a)| mark(a)).map(|(i, _)| i as u32).collect()
 }
 
 #[cfg(test)]

@@ -19,13 +19,16 @@ use crate::pws::pws_extra;
 use crate::{rmw, Strategy};
 use charlie_cache::CacheGeometry;
 use charlie_trace::{
-    AccessKind, PackedAddr, ProcTrace, SharingMap, Trace, TraceEvent, ValidateTraceError,
+    Access, EventCursor, PackedAddr, ProcTrace, SharingMap, Slots, Trace, TraceEvent,
+    ValidateTraceError,
 };
 
 /// One software prefetch to stream into a processor's raw events.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Insertion {
-    /// Index of the raw event the prefetch is issued in front of.
+    /// Index of the raw event the prefetch is issued in front of: a
+    /// logical index, so it may fall between a work gap and the access
+    /// the stream stores it with.
     pub at: u32,
     /// Fetch in exclusive (read-for-ownership) mode.
     pub exclusive: bool,
@@ -79,16 +82,8 @@ impl TraceMarks {
     ///
     /// Panics if `trace` already contains prefetches.
     pub fn new(trace: &Trace, geometry: CacheGeometry) -> Self {
-        let fingerprint = trace
-            .iter()
-            .map(|(_, s)| {
-                let cycles = s.events().iter().try_fold(0u64, |sum, ev| {
-                    (!matches!(ev, TraceEvent::Prefetch { .. }))
-                        .then(|| sum + ev.estimated_cycles())
-                });
-                (s.len(), cycles.expect("input trace already contains prefetches"))
-            })
-            .collect();
+        assert_eq!(trace.total_prefetches(), 0, "input trace already contains prefetches");
+        let fingerprint = trace.iter().map(|(_, s)| (s.len(), s.estimated_cycles())).collect();
         TraceMarks {
             geometry,
             fingerprint,
@@ -139,12 +134,13 @@ impl TraceMarks {
             .iter()
             .enumerate()
             .map(|(p, (_, stream))| {
-                let events = stream.events();
-                let exclusive = |i: usize, kind: AccessKind| {
-                    if kind.is_write() {
+                let slots = stream.slots();
+                let exclusive = |access: Access, next_slot: usize| {
+                    if access.kind.is_write() {
                         strategy.exclusive_writes()
                     } else {
-                        strategy.exclusive_rmw() && rmw::write_follows(events, i, geometry)
+                        let later = (next_slot..).map_while(|k| slots.get(k));
+                        strategy.exclusive_rmw() && rmw::write_follows(access, later, geometry)
                     }
                 };
                 let (inserts, cycles) = match pws {
@@ -220,7 +216,7 @@ impl<'a> PreparedTrace<'a> {
     ///
     /// Panics if `p` is out of range.
     pub fn proc(&self, p: usize) -> ProcStream<'a> {
-        ProcStream::new(self.raw.proc(p).events(), self.plan.proc(p))
+        ProcStream::new(self.raw.proc(p), self.plan.proc(p))
     }
 
     /// Prefetches over all processors: the raw trace's own plus the plan's.
@@ -246,13 +242,7 @@ impl<'a> PreparedTrace<'a> {
 
     /// Materializes the merged trace.
     pub fn to_trace(&self) -> Trace {
-        let procs = (0..self.num_procs()).map(|p| {
-            let stream = self.proc(p);
-            let mut events = Vec::with_capacity(stream.events.len() + stream.inserts.len());
-            events.extend(stream.iter());
-            ProcTrace::from_events(events)
-        });
-        Trace::from_procs(procs.collect())
+        Trace::from_procs((0..self.num_procs()).map(|p| self.proc(p).iter().collect()).collect())
     }
 }
 
@@ -260,15 +250,15 @@ impl<'a> PreparedTrace<'a> {
 /// plan's insertions merged in front of the events they name.
 #[derive(Copy, Clone, Debug)]
 pub struct ProcStream<'a> {
-    events: &'a [TraceEvent],
+    events: Slots<'a>,
     inserts: &'a [Insertion],
 }
 
-/// A position in a [`ProcStream`]: how many raw events and insertions have
-/// been consumed.
+/// A position in a [`ProcStream`]: the position in the raw events, and how
+/// many insertions have been consumed.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct StreamCursor {
-    raw: usize,
+    raw: EventCursor,
     inserted: usize,
 }
 
@@ -276,19 +266,19 @@ impl StreamCursor {
     /// Events consumed so far, counting insertions: the index of the next
     /// event in the merged stream.
     pub fn position(self) -> usize {
-        self.raw + self.inserted
+        self.raw.index() + self.inserted
     }
 }
 
 impl<'a> ProcStream<'a> {
-    pub(crate) fn new(events: &'a [TraceEvent], inserts: &'a [Insertion]) -> Self {
-        ProcStream { events, inserts }
+    pub(crate) fn new(events: &'a ProcTrace, inserts: &'a [Insertion]) -> Self {
+        ProcStream { events: events.slots(), inserts }
     }
 
     /// The insertion due at `at`, if the next event is one.
     #[inline]
     fn insert_at(&self, at: StreamCursor) -> Option<&'a Insertion> {
-        self.inserts.get(at.inserted).filter(|i| i.at as usize == at.raw)
+        self.inserts.get(at.inserted).filter(|i| i.at as usize == at.raw.index())
     }
 
     /// The event at `at`; `None` past the end.
@@ -296,7 +286,7 @@ impl<'a> ProcStream<'a> {
     pub fn get(&self, at: StreamCursor) -> Option<TraceEvent> {
         match self.insert_at(at) {
             Some(i) => Some(TraceEvent::Prefetch { addr: i.addr, exclusive: i.exclusive }),
-            None => self.events.get(at.raw).copied(),
+            None => self.events.event(at.raw),
         }
     }
 
@@ -306,7 +296,7 @@ impl<'a> ProcStream<'a> {
         if self.insert_at(*at).is_some() {
             at.inserted += 1;
         } else {
-            at.raw += 1;
+            self.events.advance(&mut at.raw);
         }
     }
 
@@ -324,7 +314,56 @@ impl<'a> ProcStream<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charlie_trace::{Addr, TraceBuilder};
+    use charlie_trace::{Access, Addr, BarrierId, TraceBuilder};
+    use proptest::prelude::{any, prop_assert_eq, prop_oneof, proptest, Just};
+    use proptest::strategy::Strategy as Gen;
+
+    /// Raw streams whose work gaps sometimes fold into the next access
+    /// (1–127 cycles before it) and sometimes do not.
+    fn arb_raw() -> impl Gen<Value = Vec<TraceEvent>> {
+        let gap = prop_oneof![Just(0u32), 1u32..=127, Just(128), Just(u32::MAX)];
+        let ev = (0u8..5, gap, 0u64..1 << 20, any::<bool>()).prop_map(|(pick, gap, raw, flag)| {
+            let addr = Addr::new(raw);
+            match pick {
+                0 | 1 => TraceEvent::Work(gap),
+                2 | 3 => {
+                    TraceEvent::from(if flag { Access::write(addr) } else { Access::read(addr) })
+                }
+                _ => TraceEvent::Barrier(BarrierId(0)),
+            }
+        });
+        proptest::collection::vec(ev, 0..60)
+    }
+
+    proptest! {
+        /// With one or two insertions at every logical index, including
+        /// between a folded gap and its access, the stream yields what a
+        /// merge over the unfolded events does, and the cursor counts it.
+        #[test]
+        fn stream_merges_at_logical_indices(
+            events in arb_raw(),
+            counts in proptest::collection::vec(1usize..3, 60..61),
+        ) {
+            let (mut inserts, mut expected) = (Vec::new(), Vec::new());
+            for (i, (&ev, &n)) in events.iter().zip(&counts).enumerate() {
+                for k in 0..n {
+                    let addr = PackedAddr::pack(Addr::new(i as u64 * 32));
+                    inserts.push(Insertion { at: i as u32, exclusive: k == 1, addr });
+                    expected.push(TraceEvent::Prefetch { addr, exclusive: k == 1 });
+                }
+                expected.push(ev);
+            }
+            let raw = ProcTrace::from_events(events);
+            let stream = ProcStream::new(&raw, &inserts);
+            let (mut at, mut seen) = (StreamCursor::default(), Vec::new());
+            while let Some(ev) = stream.get(at) {
+                prop_assert_eq!(at.position(), seen.len());
+                seen.push(ev);
+                stream.advance(&mut at);
+            }
+            prop_assert_eq!(seen, expected);
+        }
+    }
 
     #[test]
     fn insertion_is_twelve_bytes() {

@@ -1,8 +1,8 @@
 //! The PWS write-shared temporal-locality filter (paper §4.1).
 
-use crate::oracle::marked_indices;
+use crate::oracle::marked_accesses;
 use charlie_cache::{CacheGeometry, FilterCache};
-use charlie_trace::{ProcTrace, SharingMap, TraceEvent};
+use charlie_trace::{ProcTrace, SharingMap};
 
 /// Computes the extra prefetch marks PWS adds on top of the oracle's.
 ///
@@ -27,12 +27,9 @@ pub(crate) fn pws_extra(
         "sharing map and cache geometry must agree on block size"
     );
     let mut filter = FilterCache::pws_default();
-    marked_indices(stream, |ev| match ev {
-        TraceEvent::Access { addr, .. } => {
-            let addr = addr.unpack();
-            sharing.is_write_shared(addr.line(geometry.block_bytes())) && !filter.access(addr)
-        }
-        _ => false,
+    marked_accesses(stream, |access| {
+        sharing.is_write_shared(access.addr.line(geometry.block_bytes()))
+            && !filter.access(access.addr)
     })
 }
 

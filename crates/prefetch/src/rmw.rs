@@ -11,20 +11,32 @@
 //! [`Strategy::ExclRmw`]: crate::Strategy::ExclRmw
 
 use charlie_cache::CacheGeometry;
-use charlie_trace::TraceEvent;
+use charlie_trace::{Access, TraceEvent};
 
 /// How soon (in estimated CPU cycles) a write must follow the read for the
 /// pair to count as a read-modify-write idiom.
 pub const RMW_WINDOW_CYCLES: u64 = 50;
 
-/// Whether a write to the line of the access at `events[i]` follows it
-/// within [`RMW_WINDOW_CYCLES`], never looking across a lock or barrier.
-/// `false` if `events[i]` is not an access.
-pub fn write_follows(events: &[TraceEvent], i: usize, geometry: CacheGeometry) -> bool {
-    let Some(access) = events[i].as_access() else { return false };
+/// Whether a write to the line of `access` follows it within
+/// [`RMW_WINDOW_CYCLES`], never looking across a lock or barrier. `later`
+/// holds the stored slots after the access, as `(gap, event)` pairs the way
+/// [`Slots::get`] gives them.
+///
+/// [`Slots::get`]: charlie_trace::Slots::get
+pub fn write_follows(
+    access: Access,
+    later: impl Iterator<Item = (u32, TraceEvent)>,
+    geometry: CacheGeometry,
+) -> bool {
     let line = geometry.line(access.addr);
     let mut budget = RMW_WINDOW_CYCLES;
-    for later in &events[i + 1..] {
+    for (gap, later) in later {
+        // The gap is work in front of `later`: it only spends budget.
+        let gap = u64::from(gap);
+        if gap >= budget {
+            return false;
+        }
+        budget -= gap;
         if later.is_sync() {
             return false;
         }
@@ -51,7 +63,12 @@ mod tests {
         let mut b = TraceBuilder::new(1);
         build(&mut b.proc(0));
         let t = b.build();
-        write_follows(t.proc(0).events(), 0, CacheGeometry::paper_default())
+        let slots = t.proc(0).slots();
+        let later = (1..).map_while(|k| slots.get(k));
+        match slots.get(0).and_then(|(_, ev)| ev.as_access()) {
+            Some(access) => write_follows(access, later, CacheGeometry::paper_default()),
+            None => false,
+        }
     }
 
     #[test]
@@ -106,8 +123,10 @@ mod tests {
 
     #[test]
     fn non_access_never_detected() {
+        // Work of 128 cycles keeps a slot of its own instead of folding
+        // into the write, so the first slot holds no access.
         assert!(!follows(|p| {
-            p.work(1).write(Addr::new(0x104));
+            p.work(128).write(Addr::new(0x104));
         }));
     }
 }

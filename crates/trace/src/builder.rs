@@ -143,7 +143,7 @@ mod tests {
             .unlock(2)
             .barrier(0);
         let t = b.build();
-        let ev = t.proc(0).events();
+        let ev: Vec<TraceEvent> = t.proc(0).events().collect();
         assert_eq!(ev.len(), 8);
         assert_eq!(ev[0], TraceEvent::Work(3));
         let prefetch =

@@ -95,7 +95,7 @@ pub fn write_trace<W: Write>(trace: &Trace, mut out: W) -> std::io::Result<()> {
                     writeln!(out, "{tag} {}", addr.unpack())?;
                 }
                 TraceEvent::Prefetch { addr, exclusive } => {
-                    let tag = if *exclusive { 'P' } else { 'p' };
+                    let tag = if exclusive { 'P' } else { 'p' };
                     writeln!(out, "{tag} {}", addr.unpack())?;
                 }
                 TraceEvent::LockAcquire(l) => writeln!(out, "l {}", l.0)?,

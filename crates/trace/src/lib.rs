@@ -37,4 +37,4 @@ pub use builder::{ProcTraceBuilder, TraceBuilder};
 pub use event::{Access, AccessKind, BarrierId, LockId, TraceEvent};
 pub use sharing::{LineClass, SharingMap, WordClass, WordSharingMap};
 pub use stats::{ProcTraceStats, TraceStats};
-pub use stream::{ProcTrace, Trace, ValidateTraceError};
+pub use stream::{EventCursor, Events, ProcTrace, Slots, Trace, ValidateTraceError};

@@ -29,7 +29,7 @@ impl ProcTraceStats {
         let mut s = ProcTraceStats::default();
         for ev in stream.events() {
             match ev {
-                TraceEvent::Work(n) => s.work_cycles += u64::from(*n),
+                TraceEvent::Work(n) => s.work_cycles += u64::from(n),
                 TraceEvent::Access { kind, .. } => {
                     if kind.is_write() {
                         s.writes += 1;

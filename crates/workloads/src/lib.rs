@@ -361,7 +361,7 @@ mod tests {
                         eat(&addr.unpack().raw().to_le_bytes());
                     }
                     TraceEvent::Prefetch { addr, exclusive } => {
-                        eat(&[4, u8::from(*exclusive)]);
+                        eat(&[4, u8::from(exclusive)]);
                         eat(&addr.unpack().raw().to_le_bytes());
                     }
                     TraceEvent::LockAcquire(id) => {

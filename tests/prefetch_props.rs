@@ -92,7 +92,7 @@ proptest! {
     fn prefetches_are_always_used_later(trace in arb_raw_trace()) {
         let out = apply(Strategy::Pref, &trace, CacheGeometry::paper_default());
         for p in 0..out.num_procs() {
-            let ev = out.proc(p).events();
+            let ev: Vec<TraceEvent> = out.proc(p).events().collect();
             for (i, e) in ev.iter().enumerate() {
                 if let TraceEvent::Prefetch { addr, .. } = e {
                     let addr = addr.unpack();
@@ -130,10 +130,10 @@ proptest! {
         let pref = apply(Strategy::Pref, &trace, geometry);
         let excl = apply(Strategy::Excl, &trace, geometry);
         for p in 0..trace.num_procs() {
-            let a = pref.proc(p).events();
-            let b = excl.proc(p).events();
+            let a: Vec<TraceEvent> = pref.proc(p).events().collect();
+            let b: Vec<TraceEvent> = excl.proc(p).events().collect();
             prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
+            for (x, y) in a.iter().zip(&b) {
                 match (x, y) {
                     (
                         TraceEvent::Prefetch { addr: ax, .. },
@@ -161,7 +161,7 @@ proptest! {
     fn prefetches_respect_sync_boundaries(trace in arb_raw_trace()) {
         let out = apply(Strategy::Lpd, &trace, CacheGeometry::paper_default());
         for p in 0..out.num_procs() {
-            let ev = out.proc(p).events();
+            let ev: Vec<TraceEvent> = out.proc(p).events().collect();
             // For every prefetch, the matching demand access (first later
             // access to the line) must be reachable without an intervening
             // sync *after* which the access sits... i.e. no sync strictly
@@ -206,7 +206,7 @@ fn reference_marks(strategy: Strategy, trace: &Trace, geometry: CacheGeometry) -
     let sharing = SharingMap::analyze(trace, geometry.block_bytes());
     let mut out = Vec::new();
     for (_, stream) in trace.iter() {
-        let events = stream.events();
+        let events: Vec<TraceEvent> = stream.events().collect();
         let mut oracle = FilterCache::new(geometry);
         let mut pws = FilterCache::pws_default();
         let mut marks: Vec<Mark> = events
@@ -262,9 +262,9 @@ fn reference_marks(strategy: Strategy, trace: &Trace, geometry: CacheGeometry) -
 /// prefix of estimated cycles leaves `distance` cycles, by binary search,
 /// clamped to the last synchronization boundary.
 fn reference_insert(stream: &ProcTrace, marks: &[Mark], distance: u64) -> ProcTrace {
-    let events = stream.events();
+    let events: Vec<TraceEvent> = stream.events().collect();
     let mut prefix = vec![0u64];
-    for ev in events {
+    for ev in &events {
         prefix.push(prefix.last().unwrap() + ev.estimated_cycles());
     }
     let mut insertions: Vec<(usize, TraceEvent)> = Vec::new();
@@ -434,7 +434,7 @@ proptest! {
                 let streamed: Vec<TraceEvent> = prepared.proc(p).iter().collect();
                 prop_assert_eq!(
                     &streamed[..],
-                    materialized.proc(p).events(),
+                    &materialized.proc(p).events().collect::<Vec<_>>()[..],
                     "{} P{} at distance {}", strategy, p, distance
                 );
             }

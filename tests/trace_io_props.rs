@@ -1,8 +1,14 @@
 //! Property tests for trace serialization: arbitrary traces round-trip
-//! byte-exactly, and the parser never panics on arbitrary input.
+//! byte-exactly, and the parser never panics on arbitrary input. Also the
+//! in-memory fold of work gaps into accesses: it loses nothing, every way
+//! of building a stream folds alike, and it halves a generated trace.
 
 use charlie::trace::io::{read_trace, write_trace};
-use charlie::trace::{Addr, PackedAddr, Trace, TraceBuilder};
+use charlie::trace::{
+    Access, Addr, BarrierId, LockId, PackedAddr, ProcTrace, Trace, TraceBuilder, TraceEvent,
+};
+use charlie::workloads::generate;
+use charlie::{Workload, WorkloadConfig};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -64,6 +70,99 @@ fn arb_trace() -> impl proptest::strategy::Strategy<Value = Trace> {
         }
         b.build()
     })
+}
+
+/// A logical event stream rich in the cases the fold must get right: work
+/// gaps of 0, 1–127, 128 and `u32::MAX` cycles, runs of work, and work in
+/// front of a prefetch, a sync event or the end of the stream.
+fn arb_events() -> impl proptest::strategy::Strategy<Value = Vec<TraceEvent>> {
+    let gap =
+        prop_oneof![Just(0u32), 1u32..=127, Just(127), Just(128), Just(u32::MAX), 128u32..1000];
+    // Four in eleven events are work and three accesses, so runs of work
+    // and gaps before every other kind of event are common.
+    let ev = (0u8..11, gap, 0u64..=PackedAddr::MAX, any::<bool>(), 0u32..4).prop_map(
+        |(pick, gap, raw, flag, id)| {
+            let addr = Addr::new(raw);
+            match pick {
+                0..=3 => TraceEvent::Work(gap),
+                4..=6 => {
+                    TraceEvent::from(if flag { Access::write(addr) } else { Access::read(addr) })
+                }
+                7 => TraceEvent::Prefetch { addr: PackedAddr::pack(addr), exclusive: flag },
+                8 => TraceEvent::LockAcquire(LockId(id)),
+                9 => TraceEvent::LockRelease(LockId(id)),
+                _ => TraceEvent::Barrier(BarrierId(id)),
+            }
+        },
+    );
+    proptest::collection::vec(ev, 0..80)
+}
+
+fn write_one(stream: &ProcTrace) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_trace(&Trace::from_procs(vec![stream.clone()]), &mut buf).expect("write succeeds");
+    buf
+}
+
+/// The fold is what makes a resident trace small: a generated trace stores
+/// barely more than one slot per demand access.
+#[test]
+fn generated_trace_stores_about_one_slot_per_reference() {
+    let cfg =
+        WorkloadConfig { procs: 8, refs_per_proc: 20_000, seed: 7, ..WorkloadConfig::default() };
+    let trace = generate(Workload::Mp3d, &cfg);
+    let (events, stored) =
+        trace.iter().fold((0, 0), |(e, s), (_, t)| (e + t.len(), s + t.stored_len()));
+    assert!(
+        stored as f64 <= 0.55 * events as f64,
+        "{stored} slots hold {events} events: the work gaps are not folded"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Reading a folded stream back yields exactly the events put in.
+    #[test]
+    fn folding_is_lossless(events in arb_events()) {
+        let t = ProcTrace::from_events(events.clone());
+        prop_assert_eq!(t.len(), events.len());
+        prop_assert_eq!(t.events().collect::<Vec<_>>(), events.clone());
+        prop_assert!(t.stored_len() <= events.len());
+        let cycles: u64 = events.iter().map(TraceEvent::estimated_cycles).sum();
+        prop_assert_eq!(t.estimated_cycles(), cycles);
+        let accesses: Vec<_> =
+            (0..).zip(&events).filter_map(|(i, ev)| ev.as_access().map(|a| (i, a))).collect();
+        prop_assert_eq!(t.indexed_accesses().collect::<Vec<_>>(), accesses);
+    }
+
+    /// `push`, `from_events`, `extend` and `read_trace` store equal logical
+    /// streams equally, so the derived equality compares events.
+    #[test]
+    fn every_construction_folds_alike(events in arb_events(), split in 0usize..80) {
+        let from = ProcTrace::from_events(events.clone());
+        let mut pushed = ProcTrace::new();
+        for &ev in &events {
+            pushed.push(ev);
+        }
+        let split = split.min(events.len());
+        let mut extended: ProcTrace = events[..split].iter().copied().collect();
+        extended.extend(events[split..].iter().copied());
+        let read = read_trace(write_one(&from).as_slice()).expect("parse our own output");
+        prop_assert_eq!(&pushed, &from);
+        prop_assert_eq!(&extended, &from);
+        prop_assert_eq!(read.proc(0), &from);
+    }
+
+    /// write → read → write reproduces the file byte for byte.
+    #[test]
+    fn rewrite_is_byte_identical(events in arb_events()) {
+        let first = write_one(&ProcTrace::from_events(events));
+        let back = read_trace(first.as_slice()).expect("parse our own output");
+        let mut second = Vec::new();
+        write_trace(&back, &mut second).expect("write succeeds");
+        prop_assert_eq!(first, second);
+    }
 }
 
 proptest! {
